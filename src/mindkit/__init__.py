@@ -12,19 +12,19 @@ from .analysis import (ClosedFormInputs, ClosedFormSolution, SanityOutcome,
                        second_moment, spearman, weak_invariance_lambda)
 from .data import (Dataset, SyntheticSpec, from_arrays, generate_synthetic,
                    load_dataset, save_dataset, substream)
-from .diffcore import Graph, evaluate, gradient, leaf
+from .diffcore import Graph, leaf
 from .errors import (AnalysisError, DataError, GraphError, MindkitError,
                      TrainingError)
 from .mindtrain import (MindConfig, MindDiagnostics, MindResult, TuneResult,
-                        apply_transform, mind_loss, multi_restart,
-                        train_transform, tune_lambda, w1_reduced)
+                        mind_loss, multi_restart, train_transform, tune_lambda,
+                        w1_reduced)
 from .models import (Model, TrainConfig, build_model, load_model, predict,
-                     save_model, shuffle_layer, train, train_adversarial)
+                     save_model, shuffle_layer, train)
 from .transforms import (BasisGatingTransform, BasisSet, GatingTransform,
-                         ResidualTransform, TransformSpec, apply_basis_gating,
-                         apply_gating, apply_residual, decode, encode,
-                         init_transform, load_transform, make_basis,
-                         save_transform, window_split)
+                         ResidualTransform, Transform, TransformSpec,
+                         apply_transform, decode, encode, init_transform,
+                         load_transform, make_basis, save_transform,
+                         window_split)
 
 __version__ = "0.1.0"
 

@@ -43,6 +43,17 @@ def _load_data(args) -> Dataset:
     return load_dataset(args.data, _sidecar_path(args.data, args.sidecar))
 
 
+# JSON value types that each config field annotation accepts
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
+               "tuple": list, "list": list, "None": type(None)}
+
+
+def _fits(annotation: str, value) -> bool:
+    types = [_JSON_TYPES[name] for name in annotation.split(" | ")]
+    return isinstance(value, tuple(types)) and \
+        (bool in types or not isinstance(value, bool))
+
+
 def _config_from_json(cls, path, overrides: dict | None = None):
     """Build a config dataclass from an optional JSON file plus CLI
     overrides (None-valued overrides are ignored)."""
@@ -54,10 +65,14 @@ def _config_from_json(cls, path, overrides: dict | None = None):
             raise DataError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise DataError(f"config {path} must hold a JSON object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - allowed)
+    allowed = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise DataError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        if not _fits(allowed[key], value):
+            raise DataError(f"{cls.__name__} key {key!r} must be "
+                            f"{allowed[key]}, got {json.dumps(value)}")
     for key, value in (overrides or {}).items():
         if value is not None:
             doc[key] = value
@@ -145,8 +160,7 @@ def _cmd_train_transform(args) -> None:
     result = mindtrain.multi_restart(model, tspec, dataset, config,
                                      threads=args.threads)
     out = _outdir(args)
-    save_transform(result.transforms[0], out / "transform.json",
-                   basis=tspec.basis)
+    save_transform(result.transforms[0], out / "transform.json")
     channel_names = tspec.basis.channel_names() if tspec.basis else None
     report = analysis.build_report(result, config, dataset.feature_names,
                                    channel_names)
@@ -162,7 +176,7 @@ def _cmd_tune_lambda(args) -> None:
     tspec = _transform_spec(args, dataset)
     tuned = mindtrain.tune_lambda(model, tspec, dataset, config)
     out = _outdir(args)
-    save_transform(tuned.transform, out / "transform.json", basis=tspec.basis)
+    save_transform(tuned.transform, out / "transform.json")
     schemas.write_json(out / "tune.json", {
         "schema": "mindkit.tune/1",
         "lambda": schemas.jsonsafe(tuned.lam),
@@ -323,8 +337,16 @@ def _add_transform_args(p: argparse.ArgumentParser) -> None:
                    help="parallel restart workers")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so main() reports them like any other failure;
+    subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise DataError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mindkit",
         description="Discover which inputs a trained model is invariant to.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,15 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a usage error leaves no parsed args; the first word names the command
+    command = next((a for a in argv if not a.startswith("-")), "mindkit")
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except MindkitError as exc:
         print(json.dumps({"schema": "mindkit.error/1",
                           "error": type(exc).__name__,
                           "message": str(exc),
-                          "command": args.command}), file=sys.stderr)
+                          "command": command}), file=sys.stderr)
         return 1
     return 0
 

@@ -713,11 +713,3 @@ class Graph:
                  wrt: Iterable[str]) -> dict[str, np.ndarray]:
         return self.value_and_grad(bindings, wrt)[1]
 
-
-def evaluate(graph: Graph, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
-    return graph.evaluate(bindings)
-
-
-def gradient(graph: Graph, bindings: Mapping[str, np.ndarray],
-             wrt: Iterable[str]) -> dict[str, np.ndarray]:
-    return graph.gradient(bindings, wrt)

@@ -96,61 +96,14 @@ def w1_reduced(model: Model, X: np.ndarray, Xp: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def transform_params(t) -> dict[str, np.ndarray]:
-    """Live parameter arrays, keyed as the loss graph names them."""
-    if isinstance(t, tf.GatingTransform):
-        p = {"g": t.g}
-        if t.intercept:
-            p["b"] = t.b
-        return p
-    if isinstance(t, tf.ResidualTransform):
-        return t.params
-    if isinstance(t, tf.BasisGatingTransform):
-        p = {"gates": t.gates}
-        if t.intercept:
-            p["b"] = t.b
-        return p
-    raise GraphError(f"not a transform: {type(t).__name__}")
-
-
-def _gate_key(t) -> str | None:
-    if isinstance(t, tf.GatingTransform):
-        return "g"
-    if isinstance(t, tf.BasisGatingTransform):
-        return "gates"
-    return None
-
-
-def _decay_keys(t) -> tuple:
-    # Weight decay never touches gates (it would bias scores toward 0).
-    # It does cover intercepts and residual conv weights: an undecayed
-    # intercept can buy the whole similarity reduction by drifting far
-    # from the identity while every gate stays parked at 1.
-    if isinstance(t, tf.ResidualTransform):
-        return tuple(k for k in t.params if k.endswith("_w"))
-    return ("b",) if "b" in transform_params(t) else ()
-
-
-def apply_transform(t, X: np.ndarray, basis: tf.BasisSet | None = None,
-                    seq: bool | None = None):
-    if isinstance(t, tf.GatingTransform):
-        return tf.apply_gating(t, X, seq=seq)
-    if isinstance(t, tf.ResidualTransform):
-        return tf.apply_residual(t, X)
-    return tf.apply_basis_gating(t, basis, X)
-
-
 class _Problem:
-    """Loss/metric graphs for one transform family, cached per batch size."""
+    """Loss/metric graphs for one transform, cached per batch size."""
 
-    def __init__(self, model: Model, transform, config: MindConfig,
-                 basis: tf.BasisSet | None):
+    def __init__(self, model: Model, transform, config: MindConfig):
         self.model = model
         self.transform = transform
         self.config = config
-        self.basis = basis
-        self.seq = model.seq_len is not None
-        if config.similarity == "l1_gate_weights" and _gate_key(transform) is None:
+        if config.similarity == "l1_gate_weights" and transform.gate_key is None:
             raise TrainingError(
                 "l1_gate_weights similarity needs a gated transform family")
         self._graphs: dict[int, dict[str, dc.Graph]] = {}
@@ -158,26 +111,10 @@ class _Problem:
     def _build(self, B: int) -> dict[str, dc.Graph]:
         cfg = self.config
         t = self.transform
-        d = self.model.input_dim
-        T = self.model.seq_len
-        xshape = (B, d, T) if self.seq else (B, d)
-        x = dc.leaf("x", xshape)
-        if isinstance(t, tf.GatingTransform):
-            g = dc.leaf("g", (d,))
-            b = dc.leaf("b", (d,)) if t.intercept else None
-            xp = tf.gating_graph(x, g, b, seq=self.seq)
-            gates_leaf = g
-        elif isinstance(t, tf.ResidualTransform):
-            nodes = {k: dc.leaf(k, v.shape) for k, v in t.params.items()}
-            xp = tf.residual_graph(x, nodes, d, t.blocks, t.kernel)
-            gates_leaf = None
-        else:
-            C = t.n_channels
-            z = dc.leaf("z", (B, d * C, T))
-            gates = dc.leaf("gates", (d, C))
-            b = dc.leaf("b", (d,)) if t.intercept else None
-            xp = tf.basis_gating_graph(z, gates, b, d, C)
-            gates_leaf = gates
+        d, T = self.model.input_dim, self.model.seq_len
+        x = dc.leaf("x", (B, d) if T is None else (B, d, T))
+        nodes = {k: dc.leaf(k, v.shape) for k, v in t.params.items()}
+        xp = t.graph(x, nodes)
         f = forward_graph(self.model, xp, param_nodes(self.model, trainable=False))
         fc = dc.leaf("fc", (B,))
         diff = dc.sub(f, fc)
@@ -191,7 +128,7 @@ class _Problem:
         elif cfg.similarity == "inner_product":
             sim = dc.mean(dc.dot_rows(xp, x))
         else:
-            sim = dc.sum_(dc.abs_(gates_leaf))
+            sim = dc.sum_(dc.abs_(nodes[t.gate_key]))
         loss = dist if cfg.lam == 0 else dc.add(dist, dc.scale(sim, cfg.lam))
         return {"loss": dc.Graph(loss), "dist": dc.Graph(dist),
                 "sim": dc.Graph(sim)}
@@ -201,41 +138,33 @@ class _Problem:
             self._graphs[B] = self._build(B)
         return self._graphs[B]
 
-    def bindings(self, X: np.ndarray, fc: np.ndarray,
-                 Z: np.ndarray | None) -> dict:
-        binds = dict(transform_params(self.transform))
-        binds["x"] = X
-        binds["fc"] = fc
-        if isinstance(self.transform, tf.BasisGatingTransform):
-            binds["z"] = Z
-        return binds
+    def bindings(self, X: np.ndarray, fc: np.ndarray, extra: dict) -> dict:
+        return {**self.transform.params, "x": X, "fc": fc, **extra}
 
-    def value_and_grad(self, X, fc, Z):
+    def value_and_grad(self, X, fc, extra):
         g = self._graphs_for(len(X))["loss"]
-        names = list(transform_params(self.transform))
-        return g.value_and_grad(self.bindings(X, fc, Z), wrt=names)
+        return g.value_and_grad(self.bindings(X, fc, extra),
+                                wrt=list(self.transform.params))
 
-    def loss(self, X, fc, Z) -> float:
+    def loss(self, X, fc, extra) -> float:
         g = self._graphs_for(len(X))["loss"]
-        return float(g.evaluate(self.bindings(X, fc, Z)))
+        return float(g.evaluate(self.bindings(X, fc, extra)))
 
-    def terms(self, X, fc, Z) -> tuple[float, float]:
+    def terms(self, X, fc, extra) -> tuple[float, float]:
         gs = self._graphs_for(len(X))
-        binds = self.bindings(X, fc, Z)
+        binds = self.bindings(X, fc, extra)
         return float(gs["dist"].evaluate(binds)), float(gs["sim"].evaluate(binds))
 
 
-def mind_loss(model: Model, transform, X: np.ndarray, config: MindConfig,
-              basis: tf.BasisSet | None = None) -> float:
+def mind_loss(model: Model, transform, X: np.ndarray,
+              config: MindConfig) -> float:
     """Objective value on one batch, for the transform's current parameters."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == (1 if model.seq_len is None else 2):
         X = X[None]
-    problem = _Problem(model, transform, config, basis)
+    problem = _Problem(model, transform, config)
     fc = np.atleast_1d(predict(model, X))
-    Z = tf.gating_channels(basis, X) \
-        if isinstance(transform, tf.BasisGatingTransform) else None
-    return problem.loss(X, fc, Z)
+    return problem.loss(X, fc, transform.extra(X))
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +184,18 @@ def train_transform(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     rng = substream(config.seed, f"mind.init.restart{restart}")
     shuffle_rng = substream(config.seed, f"mind.shuffle.restart{restart}")
     transform = tf.init_transform(tspec, dataset.d, dataset.seq_len, rng)
-    basis = tspec.basis
 
     fc_tr = np.atleast_1d(predict(model, Xtr))
     fc_va = np.atleast_1d(predict(model, Xva))
-    Ztr = Zva = None
-    if tspec.kind == "basis":
-        Ztr = tf.gating_channels(basis, Xtr)
-        Zva = tf.gating_channels(basis, Xva)
+    extra_tr, extra_va = transform.extra(Xtr), transform.extra(Xva)
 
-    problem = _Problem(model, transform, config, basis)
-    params = transform_params(transform)
+    problem = _Problem(model, transform, config)
+    params = transform.params
     opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay,
-               decay_keys=_decay_keys(transform))
+               decay_keys=transform.decay_keys())
     sched = PlateauSchedule(config.patience, config.min_delta, config.lr_floor)
     bs = config.batch_size or min(100, max(1, len(Xtr) // 4))
-    gate_key = _gate_key(transform)
+    gate_key = transform.gate_key
 
     train_curve: list[float] = []
     val_curve: list[float] = []
@@ -284,8 +209,8 @@ def train_transform(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         total, count = 0.0, 0
         for start in range(0, len(order), bs):
             idx = order[start:start + bs]
-            Zb = None if Ztr is None else Ztr[idx]
-            loss, grads = problem.value_and_grad(Xtr[idx], fc_tr[idx], Zb)
+            batch = {k: v[idx] for k, v in extra_tr.items()}
+            loss, grads = problem.value_and_grad(Xtr[idx], fc_tr[idx], batch)
             loss = float(loss)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -298,7 +223,7 @@ def train_transform(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
                 gate_max = max(gate_max, float(gates.max()))
             total += loss * len(idx)
             count += len(idx)
-        val_loss = problem.loss(Xva, fc_va, Zva)
+        val_loss = problem.loss(Xva, fc_va, extra_va)
         if not np.isfinite(val_loss):
             raise TrainingError(
                 f"non-finite validation objective (restart {restart}, epoch {epoch})")
@@ -315,11 +240,10 @@ def train_transform(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         for k, v in best_params.items():
             np.copyto(params[k], v)
 
-    Xp_va = apply_transform(transform, Xva, basis,
-                            seq=dataset.seq_len is not None)
+    Xp_va = tf.apply_transform(transform, Xva, seq=dataset.seq_len is not None)
     w1_mean = float(np.mean(w1_reduced(model, Xva, Xp_va)))
     cos_mean = float(np.mean(dc.row_cosines(Xva, Xp_va)))
-    _, sim_term = problem.terms(Xva, fc_va, Zva)
+    _, sim_term = problem.terms(Xva, fc_va, extra_va)
     diag = MindDiagnostics(
         restart=restart, epochs=epoch + 1, train_curve=train_curve,
         val_curve=val_curve, val_loss=best_loss, w1_mean=w1_mean,
@@ -416,14 +340,6 @@ class MindResult:
         return per_run.std(axis=0)
 
 
-def _score_vector(t) -> np.ndarray:
-    if isinstance(t, tf.GatingTransform):
-        return t.g.copy()
-    if isinstance(t, tf.BasisGatingTransform):
-        return t.gates.copy()
-    raise GraphError("residual transforms carry no gates")
-
-
 def _run_restart(args):
     model, tspec, dataset, config, r = args
     try:
@@ -461,22 +377,15 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     top = runs[:config.top_k]
 
     Xva, _ = dataset.split("validation")
-    rho_rows = []
-    for _, t, _ in top:
-        Xp = apply_transform(t, Xva, tspec.basis,
-                             seq=dataset.seq_len is not None)
-        rho_rows.append(analysis.correlation_profile(Xva, Xp))
-    rho = np.stack(rho_rows)
-
-    if tspec.kind == "residual":
-        score_kind = "correlation"
-        scores = rho
-    else:
-        score_kind = "gates" if tspec.kind == "gating" else "gates_by_channel"
-        scores = np.stack([_score_vector(t) for _, t, _ in top])
+    seq = dataset.seq_len is not None
+    rho = np.stack([analysis.correlation_profile(
+        Xva, tf.apply_transform(t, Xva, seq=seq)) for _, t, _ in top])
+    first = top[0][1]
+    scores = rho if first.gate_key is None else \
+        np.stack([t.params[t.gate_key] for _, t, _ in top])
 
     return MindResult(
-        score_kind=score_kind, samples=scores,
+        score_kind=first.score_kind, samples=scores,
         mean=scores.mean(axis=0), std=scores.std(axis=0),
         rho_mean=rho.mean(axis=0), rho_std=rho.std(axis=0),
         selected=[r for r, _, _ in top], failed=failed,

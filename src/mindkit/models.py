@@ -20,8 +20,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .data import Dataset, substream
-from .errors import GraphError, TrainingError
+from .errors import DataError, GraphError, TrainingError
 from .optim import Adam, PlateauSchedule
+from .schemas import validate_artifact
 
 ARCHITECTURES = ("linear", "mlp", "seqconv")
 OUTPUT_KINDS = ("probability", "regression", "gaussian")
@@ -177,12 +178,6 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray | float:
     return float(val[0]) if single else val
 
 
-def prediction_graph(model: Model, batch_shape: tuple) -> dc.Graph:
-    """Reusable frozen-parameter forward graph with input leaf "x"."""
-    x = dc.leaf("x", batch_shape)
-    return dc.Graph(forward_graph(model, x, param_nodes(model, trainable=False)))
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -279,12 +274,6 @@ def train(model: Model, dataset: Dataset,
     return fitted, history
 
 
-def train_adversarial(model: Model, dataset: Dataset,
-                      config: TrainConfig) -> tuple[Model, dict]:
-    """PGD-robust variant of train(); eps = 0 reduces to it exactly."""
-    return train(model, dataset, replace(config, adversarial=True))
-
-
 def shuffle_layer(model: Model, layer_index: int,
                   rng: np.random.Generator) -> Model:
     """Copy of the model with one layer's weight entries permuted.
@@ -330,11 +319,15 @@ def load_model(path) -> Model:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise GraphError(f"cannot read model checkpoint {path}: {exc}") from exc
-    if doc.get("schema") != "mindkit.model/1":
+    if not isinstance(doc, dict) or doc.get("schema") != "mindkit.model/1":
         raise GraphError(f"not a model checkpoint: {path}")
-    params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
-              for k, v in doc["params"].items()}
-    return Model(doc["kind"], doc["output"], doc["input_dim"], doc["seq_len"],
-                 params, hidden=tuple(doc["hidden"]),
-                 dilations=tuple(doc["dilations"]),
-                 kernel_size=doc["kernel_size"], seed=doc["seed"])
+    validate_artifact(doc)
+    try:
+        params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
+                  for k, v in doc["params"].items()}
+        return Model(doc["kind"], doc["output"], doc["input_dim"],
+                     doc["seq_len"], params, hidden=tuple(doc["hidden"]),
+                     dilations=tuple(doc["dilations"]),
+                     kernel_size=doc["kernel_size"], seed=doc["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model checkpoint {path}: {exc!r}") from exc

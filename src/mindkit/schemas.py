@@ -88,7 +88,7 @@ SCHEMAS: dict[str, dict] = {
             "hidden": _INTS,
             "dilations": _INTS,
             "kernel_size": {"type": "integer"},
-            "seed": {"type": "integer"},
+            "seed": {"type": ["integer", "null"]},
             "params": {"type": "object", "additionalProperties": _ARRAY_BLOB},
         },
     },

@@ -15,13 +15,14 @@ Three families:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
-from .errors import GraphError
+from .errors import DataError, GraphError
+from .schemas import validate_artifact
 
 GATE_INIT_NOISE = 0.02
 RESIDUAL_KERNEL = 5
@@ -35,36 +36,8 @@ def clip01(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# transform containers
+# temporal bases
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GatingTransform:
-    """x -> g * x + b with g in [0, 1]^d; b optional and unconstrained."""
-
-    g: np.ndarray
-    b: np.ndarray
-    intercept: bool = True
-
-    @property
-    def d(self) -> int:
-        return self.g.shape[0]
-
-
-@dataclass
-class ResidualTransform:
-    """Stacked residual blocks x + conv2(relu(normalize(conv1(x)))).
-
-    conv1 maps d -> hidden channels (kernel 5, same padding, no bias);
-    conv2 maps back with a bias. Zero conv2 weights give the identity map.
-    """
-
-    params: dict[str, np.ndarray]
-    d: int
-    hidden: int
-    blocks: int = RESIDUAL_BLOCKS
-    kernel: int = RESIDUAL_KERNEL
 
 
 @dataclass
@@ -103,71 +76,6 @@ class BasisSet:
                 names.append("residual")
             return names
         return [f"window{k}" for k in range(self.K)]
-
-
-@dataclass
-class BasisGatingTransform:
-    """One gate per (feature, temporal channel), optional per-feature intercept."""
-
-    gates: np.ndarray            # (d, C) in [0, 1]
-    b: np.ndarray                # (d,)
-    intercept: bool = False
-
-    @property
-    def d(self) -> int:
-        return self.gates.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.gates.shape[1]
-
-
-@dataclass
-class TransformSpec:
-    """Which family to fit, and its structural options."""
-
-    kind: str = "gating"
-    intercept: bool = True
-    basis: BasisSet | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("gating", "residual", "basis"):
-            raise GraphError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "basis" and self.basis is None:
-            raise GraphError("basis transform requires a BasisSet")
-
-
-def init_transform(spec: TransformSpec, d: int, seq_len: int | None,
-                   rng: np.random.Generator):
-    """Near-identity start: gates at 1 jittered by N(0, 0.02^2), clamped."""
-    if spec.kind == "gating":
-        g = clip01(1.0 + rng.normal(0.0, GATE_INIT_NOISE, d))
-        return GatingTransform(g, np.zeros(d), intercept=spec.intercept)
-    if spec.kind == "residual":
-        if seq_len is None:
-            raise GraphError("residual transform requires sequence data")
-        hidden = RESIDUAL_HIDDEN_SCALE * d
-        params: dict[str, np.ndarray] = {}
-        for i in range(RESIDUAL_BLOCKS):
-            fan_in = d * RESIDUAL_KERNEL
-            params[f"block{i}_conv1_w"] = rng.normal(
-                0.0, np.sqrt(2.0 / fan_in), (hidden, d, RESIDUAL_KERNEL))
-            params[f"block{i}_conv2_w"] = rng.normal(
-                0.0, GATE_INIT_NOISE, (d, hidden, RESIDUAL_KERNEL))
-            params[f"block{i}_conv2_b"] = np.zeros(d)
-        return ResidualTransform(params, d, hidden)
-    basis = spec.basis
-    if seq_len is None:
-        raise GraphError("basis transform requires sequence data")
-    if basis.T != seq_len:
-        raise GraphError(f"basis built for T={basis.T}, data has T={seq_len}")
-    gates = clip01(1.0 + rng.normal(0.0, GATE_INIT_NOISE, (d, basis.n_channels)))
-    return BasisGatingTransform(gates, np.zeros(d), intercept=spec.intercept)
-
-
-# ---------------------------------------------------------------------------
-# temporal bases
-# ---------------------------------------------------------------------------
 
 
 def make_basis(kind: str, T: int, K: int | None = None,
@@ -272,124 +180,268 @@ def gating_channels(basis: BasisSet, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# graph builders (shared by value-level apply and the fitting loop)
+# transform families
 # ---------------------------------------------------------------------------
 
 
-def gating_graph(x: dc.Node, g: dc.Node, b: dc.Node | None,
-                 seq: bool) -> dc.Node:
-    d = g.shape[0]
-    if seq:
-        g = dc.reshape(g, (d, 1))
-        b = None if b is None else dc.reshape(b, (d, 1))
-    out = dc.mul(x, g)
-    return out if b is None else dc.add(out, b)
+def _near_one(rng: np.random.Generator, shape) -> np.ndarray:
+    """Near-identity gates: 1 jittered by N(0, 0.02^2), clamped."""
+    return clip01(1.0 + rng.normal(0.0, GATE_INIT_NOISE, shape))
 
 
-def residual_graph(x: dc.Node, params: dict[str, dc.Node], d: int,
-                   blocks: int = RESIDUAL_BLOCKS,
-                   kernel: int = RESIDUAL_KERNEL) -> dc.Node:
-    pad = (kernel - 1) // 2
-    h = x
-    for i in range(blocks):
-        inner = dc.conv1d(h, params[f"block{i}_conv1_w"], padding=pad)
-        inner = dc.relu(dc.normalize(inner))
-        inner = dc.conv1d(inner, params[f"block{i}_conv2_w"], padding=pad)
-        inner = dc.add(inner, dc.reshape(params[f"block{i}_conv2_b"], (d, 1)))
-        h = dc.add(h, inner)
-    return h
+def _array(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
 
 
-def basis_gating_graph(z: dc.Node, gates: dc.Node, b: dc.Node | None,
-                       d: int, C: int) -> dc.Node:
-    """Gate the channel stack with a grouped kernel-1 convolution."""
-    w = dc.reshape(gates, (d, C, 1))
-    out = dc.conv1d(z, w, groups=d)
-    return out if b is None else dc.add(out, dc.reshape(b, (d, 1)))
+class Transform:
+    """What the fitting loop asks of a family; it never asks which one.
+
+    `kind` names the family, `gate_key` the parameter clamped to [0, 1]
+    (None without gates), `score_kind` what restarts report, and `seq_only`
+    whether it takes sequences only. `params` maps graph parameter names to
+    the live arrays; `graph(x, p)` builds x' from the input node and
+    parameter nodes (leaves when fitting, constants when applying);
+    `extra(X)` binds any other leaf the graph reads.
+    """
+
+    gate_key: str | None = None
+    seq_only = True
+
+    def extra(self, X: np.ndarray) -> dict[str, np.ndarray]:
+        return {}
+
+    def decay_keys(self) -> tuple:
+        # Weight decay never touches gates (it would bias scores toward 0).
+        # It does cover intercepts and residual conv weights: an undecayed
+        # intercept can buy the whole similarity reduction by drifting far
+        # from the identity while every gate stays parked at 1.
+        return tuple(k for k in self.params if k == "b" or k.endswith("_w"))
 
 
-# ---------------------------------------------------------------------------
-# value-level application
-# ---------------------------------------------------------------------------
+@dataclass
+class GatingTransform(Transform):
+    """x -> g * x + b with g in [0, 1]^d; b optional and unconstrained."""
+
+    g: np.ndarray
+    b: np.ndarray
+    intercept: bool = True
+    kind, gate_key, score_kind, seq_only = "gating", "g", "gates", False
+
+    @property
+    def d(self) -> int:
+        return self.g.shape[0]
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"g": self.g, "b": self.b} if self.intercept else {"g": self.g}
+
+    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
+        g, b = p["g"], p.get("b")
+        if len(x.shape) == 3:  # (B, d, T): one gate per feature, all times
+            g = dc.reshape(g, (self.d, 1))
+            b = None if b is None else dc.reshape(b, (self.d, 1))
+        out = dc.mul(x, g)
+        return out if b is None else dc.add(out, b)
+
+    @classmethod
+    def init(cls, spec, d, seq_len, rng):
+        return cls(_near_one(rng, d), np.zeros(d), intercept=spec.intercept)
+
+    def to_doc(self) -> dict:
+        return {"intercept": self.intercept,
+                "params": {"g": self.g.tolist(), "b": self.b.tolist()}}
+
+    @classmethod
+    def from_doc(cls, doc):
+        p = doc["params"]
+        return cls(_array(p["g"]), _array(p["b"]), intercept=doc["intercept"])
 
 
-def _batched(X: np.ndarray, want_seq: bool) -> tuple[np.ndarray, bool]:
-    X = np.asarray(X, dtype=np.float64)
-    expected = 3 if want_seq else 2
-    if X.ndim == expected - 1:
-        return X[None], True
-    if X.ndim != expected:
-        raise GraphError(f"expected {expected - 1}-D or {expected}-D input")
-    return X, False
+@dataclass
+class ResidualTransform(Transform):
+    """Stacked residual blocks x + conv2(relu(normalize(conv1(x)))).
+
+    conv1 maps d -> hidden channels (kernel 5, same padding, no bias);
+    conv2 maps back with a bias. Zero conv2 weights give the identity map.
+    """
+
+    params: dict[str, np.ndarray]
+    d: int
+    hidden: int
+    blocks: int = RESIDUAL_BLOCKS
+    kernel: int = RESIDUAL_KERNEL
+    kind, score_kind = "residual", "correlation"
+
+    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
+        pad = (self.kernel - 1) // 2
+        h = x
+        for i in range(self.blocks):
+            inner = dc.conv1d(h, p[f"block{i}_conv1_w"], padding=pad)
+            inner = dc.relu(dc.normalize(inner))
+            inner = dc.conv1d(inner, p[f"block{i}_conv2_w"], padding=pad)
+            inner = dc.add(inner, dc.reshape(p[f"block{i}_conv2_b"],
+                                             (self.d, 1)))
+            h = dc.add(h, inner)
+        return h
+
+    @classmethod
+    def init(cls, spec, d, seq_len, rng):
+        if seq_len is None:
+            raise GraphError("residual transform requires sequence data")
+        hidden = RESIDUAL_HIDDEN_SCALE * d
+        params: dict[str, np.ndarray] = {}
+        for i in range(RESIDUAL_BLOCKS):
+            fan_in = d * RESIDUAL_KERNEL
+            params[f"block{i}_conv1_w"] = rng.normal(
+                0.0, np.sqrt(2.0 / fan_in), (hidden, d, RESIDUAL_KERNEL))
+            params[f"block{i}_conv2_w"] = rng.normal(
+                0.0, GATE_INIT_NOISE, (d, hidden, RESIDUAL_KERNEL))
+            params[f"block{i}_conv2_b"] = np.zeros(d)
+        return cls(params, d, hidden)
+
+    def to_doc(self) -> dict:
+        return {"d": self.d, "hidden": self.hidden, "blocks": self.blocks,
+                "kernel": self.kernel,
+                "params": {k: {"shape": list(v.shape),
+                               "data": v.ravel().tolist()}
+                           for k, v in self.params.items()}}
+
+    @classmethod
+    def from_doc(cls, doc):
+        params = {k: _array(v["data"]).reshape(v["shape"])
+                  for k, v in doc["params"].items()}
+        return cls(params, doc["d"], doc["hidden"], doc["blocks"],
+                   doc["kernel"])
 
 
-def apply_gating(t: GatingTransform, X: np.ndarray,
-                 seq: bool | None = None) -> np.ndarray:
-    """Gate one instance or a batch; features live on axis 0 of a single
-    instance and axis 1 of a batch.
+@dataclass
+class BasisGatingTransform(Transform):
+    """One gate per (feature, temporal channel of `basis`), optional
+    per-feature intercept."""
 
-    A square 2-D input is ambiguous; pass seq=True for one (d, T)
-    sequence or seq=False for a (B, d) batch. Left to infer, a 2-D input
-    whose leading axis matches d reads as a single sequence.
+    gates: np.ndarray            # (d, C) in [0, 1]
+    b: np.ndarray                # (d,)
+    basis: BasisSet
+    intercept: bool = False
+    kind, gate_key, score_kind = "basis", "gates", "gates_by_channel"
+
+    def __post_init__(self):
+        if self.gates.shape[1] != self.basis.n_channels:
+            raise GraphError("transform and basis disagree on channel count")
+
+    @property
+    def d(self) -> int:
+        return self.gates.shape[0]
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"gates": self.gates, "b": self.b} if self.intercept \
+            else {"gates": self.gates}
+
+    def extra(self, X: np.ndarray) -> dict[str, np.ndarray]:
+        return {"z": gating_channels(self.basis, X)}
+
+    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
+        """Gate the channel stack z with a grouped kernel-1 convolution."""
+        d, C = self.d, self.basis.n_channels
+        z = dc.leaf("z", (x.shape[0], d * C, x.shape[2]))
+        out = dc.conv1d(z, dc.reshape(p["gates"], (d, C, 1)), groups=d)
+        b = p.get("b")
+        return out if b is None else dc.add(out, dc.reshape(b, (d, 1)))
+
+    @classmethod
+    def init(cls, spec, d, seq_len, rng):
+        basis = spec.basis
+        if seq_len is None:
+            raise GraphError("basis transform requires sequence data")
+        if basis.T != seq_len:
+            raise GraphError(
+                f"basis built for T={basis.T}, data has T={seq_len}")
+        return cls(_near_one(rng, (d, basis.n_channels)), np.zeros(d), basis,
+                   intercept=spec.intercept)
+
+    def to_doc(self) -> dict:
+        basis = self.basis
+        return {"intercept": self.intercept,
+                "basis": {"kind": basis.kind, "K": basis.K, "T": basis.T,
+                          "residual_channel": basis.residual_channel},
+                "params": {"gates": self.gates.tolist(),
+                           "b": self.b.tolist()}}
+
+    @classmethod
+    def from_doc(cls, doc):
+        info, p = doc["basis"], doc["params"]
+        basis = make_basis(info["kind"], info["T"], info["K"],
+                           info["residual_channel"])
+        return cls(_array(p["gates"]), _array(p["b"]), basis,
+                   intercept=doc["intercept"])
+
+
+TRANSFORMS = {cls.kind: cls for cls in (GatingTransform, ResidualTransform,
+                                        BasisGatingTransform)}
+
+
+@dataclass
+class TransformSpec:
+    """Which family to fit, and its structural options."""
+
+    kind: str = "gating"
+    intercept: bool = True
+    basis: BasisSet | None = None
+
+    def __post_init__(self):
+        if self.kind not in TRANSFORMS:
+            raise GraphError(f"unknown transform kind {self.kind!r}")
+        if self.kind == "basis" and self.basis is None:
+            raise GraphError("basis transform requires a BasisSet")
+
+
+def init_transform(spec: TransformSpec, d: int, seq_len: int | None,
+                   rng: np.random.Generator):
+    """Near-identity start: gates at 1 jittered by N(0, 0.02^2), clamped;
+    residual conv2 weights near 0."""
+    return TRANSFORMS[spec.kind].init(spec, d, seq_len, rng)
+
+
+def apply_transform(t, X: np.ndarray, seq: bool | None = None) -> np.ndarray:
+    """Transform one instance or a batch; features live on axis 0 of a
+    single instance and axis 1 of a batch.
+
+    Residual and basis transforms take sequences only. For gating, a
+    square 2-D input is ambiguous; pass seq=True for one (d, T) sequence
+    or seq=False for a (B, d) batch. Left to infer, a 2-D input whose
+    leading axis matches d reads as a single sequence.
     """
     X = np.asarray(X, dtype=np.float64)
+    if t.seq_only and X.ndim not in (2, 3):
+        raise GraphError("expected 2-D or 3-D input")
+    seq = True if t.seq_only else seq
     if X.ndim == 1:
-        Xb, single, seq = X[None], True, False
+        Xb, single = X[None], True
     elif X.ndim == 3:
-        Xb, single, seq = X, False, True
+        Xb, single = X, False
     elif X.ndim == 2 and (seq or (seq is None and X.shape[0] == t.d)):
-        Xb, single, seq = X[None], True, True
+        Xb, single = X[None], True
     elif X.ndim == 2 and X.shape[1] == t.d:
-        Xb, single, seq = X, False, False
+        Xb, single = X, False
     else:
-        raise GraphError(f"gating transform expects {t.d} features")
+        raise GraphError(f"{t.kind} transform expects {t.d} features")
     if Xb.shape[1] != t.d:
-        raise GraphError(f"gating transform expects {t.d} features")
-    x = dc.leaf("x", Xb.shape)
-    g = dc.constant(t.g)
-    b = dc.constant(t.b) if t.intercept else None
-    out = dc.Graph(gating_graph(x, g, b, seq=seq)).evaluate({"x": Xb})
-    return out[0] if single else out
-
-
-def apply_residual(t: ResidualTransform, X: np.ndarray) -> np.ndarray:
-    Xb, single = _batched(X, want_seq=True)
-    if Xb.shape[1] != t.d:
-        raise GraphError(f"residual transform expects {t.d} features")
-    x = dc.leaf("x", Xb.shape)
-    nodes = {k: dc.constant(v) for k, v in t.params.items()}
-    out = dc.Graph(residual_graph(x, nodes, t.d, t.blocks, t.kernel))
-    val = out.evaluate({"x": Xb})
-    return val[0] if single else val
-
-
-def apply_basis_gating(t: BasisGatingTransform, basis: BasisSet,
-                       X: np.ndarray) -> np.ndarray:
-    Xb, single = _batched(X, want_seq=True)
-    if Xb.shape[1] != t.d:
-        raise GraphError(f"basis gating expects {t.d} features")
-    if t.n_channels != basis.n_channels:
-        raise GraphError("transform and basis disagree on channel count")
-    Z = gating_channels(basis, Xb)
-    z = dc.leaf("z", Z.shape)
-    gates = dc.constant(t.gates)
-    b = dc.constant(t.b) if t.intercept else None
-    out = dc.Graph(basis_gating_graph(z, gates, b, t.d, basis.n_channels))
-    val = out.evaluate({"z": Z})
+        raise GraphError(f"{t.kind} transform expects {t.d} features")
+    out = t.graph(dc.leaf("x", Xb.shape),
+                  {k: dc.constant(v) for k, v in t.params.items()})
+    val = dc.Graph(out).evaluate({"x": Xb, **t.extra(Xb)})
     return val[0] if single else val
 
 
 def clamp_gates(t):
-    """Project every gate parameter onto [0, 1] in place; returns t.
+    """Project the gate parameter onto [0, 1] in place; returns t.
 
     Intercepts and residual convolution weights are left untouched.
     """
-    if isinstance(t, GatingTransform):
-        np.copyto(t.g, clip01(t.g))
-    elif isinstance(t, BasisGatingTransform):
-        np.copyto(t.gates, clip01(t.gates))
-    elif not isinstance(t, ResidualTransform):
-        raise GraphError(f"not a transform: {type(t).__name__}")
+    if t.gate_key is not None:
+        gates = t.params[t.gate_key]
+        np.copyto(gates, clip01(gates))
     return t
 
 
@@ -398,52 +450,20 @@ def clamp_gates(t):
 # ---------------------------------------------------------------------------
 
 
-def save_transform(t, path, basis: BasisSet | None = None) -> None:
-    if isinstance(t, GatingTransform):
-        doc = {"kind": "gating", "intercept": t.intercept,
-               "params": {"g": t.g.tolist(), "b": t.b.tolist()}}
-    elif isinstance(t, ResidualTransform):
-        doc = {"kind": "residual", "d": t.d, "hidden": t.hidden,
-               "blocks": t.blocks, "kernel": t.kernel,
-               "params": {k: {"shape": list(v.shape),
-                              "data": v.ravel().tolist()}
-                          for k, v in t.params.items()}}
-    elif isinstance(t, BasisGatingTransform):
-        if basis is None:
-            raise GraphError("saving a basis transform requires its BasisSet")
-        doc = {"kind": "basis", "intercept": t.intercept,
-               "basis": {"kind": basis.kind, "K": basis.K, "T": basis.T,
-                         "residual_channel": basis.residual_channel},
-               "params": {"gates": t.gates.tolist(), "b": t.b.tolist()}}
-    else:
-        raise GraphError(f"not a transform: {type(t).__name__}")
-    doc = {"schema": "mindkit.transform/1", **doc}
+def save_transform(t, path) -> None:
+    doc = {"schema": "mindkit.transform/1", "kind": t.kind, **t.to_doc()}
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def load_transform(path):
-    """Returns (transform, basis_or_None)."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise GraphError(f"cannot read transform checkpoint {path}: {exc}") from exc
-    if doc.get("schema") != "mindkit.transform/1":
+    if not isinstance(doc, dict) or doc.get("schema") != "mindkit.transform/1":
         raise GraphError(f"not a transform checkpoint: {path}")
-    kind = doc["kind"]
-    if kind == "gating":
-        t = GatingTransform(np.array(doc["params"]["g"], dtype=np.float64),
-                            np.array(doc["params"]["b"], dtype=np.float64),
-                            intercept=doc["intercept"])
-        return t, None
-    if kind == "residual":
-        params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
-                  for k, v in doc["params"].items()}
-        return ResidualTransform(params, doc["d"], doc["hidden"],
-                                 doc["blocks"], doc["kernel"]), None
-    info = doc["basis"]
-    basis = make_basis(info["kind"], info["T"], info["K"],
-                       info["residual_channel"])
-    t = BasisGatingTransform(np.array(doc["params"]["gates"], dtype=np.float64),
-                             np.array(doc["params"]["b"], dtype=np.float64),
-                             intercept=doc["intercept"])
-    return t, basis
+    validate_artifact(doc)
+    try:
+        return TRANSFORMS[doc["kind"]].from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed transform checkpoint {path}: {exc!r}") from exc

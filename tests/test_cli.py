@@ -97,6 +97,26 @@ class TestOracle:
             capsys, ["oracle", "--beta", "1,abc", "--lam", "1.0"], "oracle")
         assert doc["error"] == "DataError"
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--beta", "1,2", "--lam", "abc"],
+        ["oracle", "--beta", "1,2"],
+    ])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        doc = json.loads(lines[0])
+        assert validate_artifact(doc) == "mindkit.error/1"
+        assert doc["command"] == "oracle"
+        assert "--lam" in doc["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--help"])
+        assert exc.value.code == 0
+        assert "--beta" in capsys.readouterr().out
+
     def test_console_entry_point(self, tmp_path):
         """Run the `mindkit` script that pyproject.toml declares the way an
         installed console script does, in a fresh process, so the test
@@ -221,6 +241,50 @@ class TestTransformPipeline:
             capsys, ["score", "--manifest", str(pipeline["truth"]),
                      "--out", str(pipeline["root"] / "bad")], "score")
         assert "mindkit.report/1" in doc["message"]
+
+
+# Malformed inputs that reach past argument parsing; each must end in one
+# mindkit.error/1 line naming the offending key or file, never a traceback.
+BAD_MIND_CONFIGS = [("lam", "abc"), ("restarts", 2.5),
+                    ("clip_similarity_at_zero", "yes")]
+
+
+class TestMalformedInputs:
+    def _one_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        doc = json.loads(lines[0])
+        assert validate_artifact(doc) == "mindkit.error/1"
+        assert doc["command"] == "train-transform"
+        return doc
+
+    def _train_transform(self, pipeline, tmp_path, config, model=None):
+        return ["train-transform", "--data", str(pipeline["data"]),
+                "--model", str(model or pipeline["model"]),
+                "--config", str(config), "--out", str(tmp_path / "o")]
+
+    @pytest.mark.parametrize("key,value", BAD_MIND_CONFIGS)
+    def test_wrongly_typed_config_value(self, pipeline, tmp_path, capsys,
+                                        key, value):
+        cfg = tmp_path / "mind.json"
+        cfg.write_text(json.dumps({key: value}))
+        doc = self._one_error_line(
+            capsys, self._train_transform(pipeline, tmp_path, cfg))
+        assert doc["error"] == "DataError"
+        assert repr(key) in doc["message"]
+
+    def test_model_checkpoint_without_params(self, pipeline, tmp_path,
+                                             capsys):
+        model = read(pipeline["model"])
+        del model["params"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model))
+        doc = self._one_error_line(capsys, self._train_transform(
+            pipeline, tmp_path, pipeline["mind_cfg"], model=bad))
+        assert doc["error"] == "DataError"
+        assert "params" in doc["message"]
 
 
 class TestTuneLambda:

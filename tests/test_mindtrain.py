@@ -121,9 +121,9 @@ class TestMindLoss:
         m = build_model("seqconv", 2, seq_len=8, hidden=(4,), seed=3)
         basis = make_basis("pulse", 8, 4)
         from mindkit.transforms import BasisGatingTransform
-        t = BasisGatingTransform(np.ones((2, 4)), np.zeros(2))
+        t = BasisGatingTransform(np.ones((2, 4)), np.zeros(2), basis)
         X = np.random.default_rng(3).normal(size=(4, 2, 8))
-        got = mind_loss(m, t, X, MindConfig(lam=0.5), basis=basis)
+        got = mind_loss(m, t, X, MindConfig(lam=0.5))
         assert abs(got - 0.5) <= 1e-8
 
     def test_lambda_zero_is_pure_distance_term(self):

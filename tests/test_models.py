@@ -1,12 +1,15 @@
 """Predictor architectures: forward values, training, PGD, layer shuffling."""
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mindkit.data import from_arrays, substream
-from mindkit.errors import GraphError, TrainingError
+from mindkit.errors import DataError, GraphError, TrainingError
 from mindkit.models import (Model, TrainConfig, build_model, load_model,
                             predict, save_model, shuffle_layer, train,
-                            train_adversarial, _loss_graph, _pgd_perturb)
+                            _loss_graph, _pgd_perturb)
 
 
 def blob_dataset(n=300, d=2, seq_len=None, sigma=0.5, mean=1.0, seed=0):
@@ -179,7 +182,7 @@ class TestAdversarial:
         cfg = TrainConfig(lr=0.02, batch_size=16, max_epochs=12,
                           pgd_eps=0.0, seed=7)
         f_reg, h_reg = train(m, ds, cfg)
-        f_adv, h_adv = train_adversarial(m, ds, cfg)
+        f_adv, h_adv = train(m, ds, replace(cfg, adversarial=True))
         assert h_reg["train_loss"] == h_adv["train_loss"]
         for k in f_reg.params:
             np.testing.assert_array_equal(f_reg.params[k], f_adv.params[k])
@@ -214,7 +217,7 @@ class TestAdversarial:
                         output="probability", seed=6)
         cfg = TrainConfig(lr=0.02, batch_size=25, max_epochs=40, seed=6)
         f_reg, _ = train(m, ds, cfg)
-        f_adv, _ = train_adversarial(m, ds, cfg)
+        f_adv, _ = train(m, ds, replace(cfg, adversarial=True))
         gap = abs(accuracy(f_reg, ds) - accuracy(f_adv, ds))
         assert gap <= 0.05
 
@@ -287,4 +290,17 @@ class TestCheckpoints:
         path = tmp_path / "junk.json"
         path.write_text('{"schema": "something-else"}')
         with pytest.raises(GraphError, match="not a model checkpoint"):
+            load_model(path)
+
+    def test_checkpoint_without_params_is_a_data_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build_model("linear", 2, seed=0), path)
+        doc = json.loads(path.read_text())
+        del doc["params"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="params"):
+            load_model(path)
+        doc["params"] = {"w": {"shape": [3, 1], "data": [1.0, 2.0]}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed model"):
             load_model(path)

@@ -3,14 +3,13 @@ import numpy as np
 import pytest
 
 import mindkit.diffcore as dc
-from mindkit.errors import GraphError
+from mindkit.errors import DataError, GraphError
 from mindkit.transforms import (BasisGatingTransform, BasisSet,
                                 GatingTransform, ResidualTransform,
-                                TransformSpec, apply_basis_gating,
-                                apply_gating, apply_residual, clamp_gates,
+                                TransformSpec, apply_transform, clamp_gates,
                                 clip01, decode, encode, gating_channels,
                                 init_transform, load_transform, make_basis,
-                                residual_graph, save_transform, window_split)
+                                save_transform, window_split)
 
 
 def rng_for(seed=0):
@@ -21,30 +20,31 @@ class TestGating:
     def test_identity(self):
         t = GatingTransform(np.ones(3), np.zeros(3))
         X = rng_for(1).normal(size=(5, 3))
-        np.testing.assert_array_equal(apply_gating(t, X), X)
+        np.testing.assert_array_equal(apply_transform(t, X), X)
 
     def test_full_suppression(self):
         t = GatingTransform(np.zeros(3), np.zeros(3))
         X = rng_for(2).normal(size=(5, 3))
-        np.testing.assert_array_equal(apply_gating(t, X), np.zeros((5, 3)))
+        np.testing.assert_array_equal(apply_transform(t, X),
+                                      np.zeros((5, 3)))
 
     def test_componentwise_formula_on_row_pair(self):
         # one (d=2, T=2) sequence: each row is a feature's timeline
         t = GatingTransform(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
         X = np.array([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(apply_gating(t, X),
+        np.testing.assert_array_equal(apply_transform(t, X),
                                       [[3.0, 4.0], [2.0, 2.0]])
 
     def test_explicit_batch_flag_on_square_input(self):
         # the same square array read as a (B=2, d=2) batch instead
         t = GatingTransform(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
         X = np.array([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(apply_gating(t, X, seq=False),
+        np.testing.assert_array_equal(apply_transform(t, X, seq=False),
                                       [[3.0, 2.0], [5.0, 2.0]])
 
     def test_single_vector(self):
         t = GatingTransform(np.array([0.5, 2.0 / 4.0]), np.array([1.0, -1.0]))
-        got = apply_gating(t, np.array([4.0, 8.0]))
+        got = apply_transform(t, np.array([4.0, 8.0]))
         np.testing.assert_array_equal(got, [3.0, 3.0])
         assert got.shape == (2,)
 
@@ -52,7 +52,7 @@ class TestGating:
         t = GatingTransform(np.array([2.0, 0.0, 1.0]),
                             np.array([0.0, 1.0, 0.0]))
         X = rng_for(3).normal(size=(4, 3, 6))
-        got = apply_gating(t, X)
+        got = apply_transform(t, X)
         np.testing.assert_allclose(got[:, 0], 2.0 * X[:, 0])
         np.testing.assert_array_equal(got[:, 1], np.ones((4, 6)))
         np.testing.assert_array_equal(got[:, 2], X[:, 2])
@@ -60,12 +60,12 @@ class TestGating:
     def test_intercept_flag_disables_b(self):
         t = GatingTransform(np.ones(2), np.array([5.0, 5.0]), intercept=False)
         X = rng_for(4).normal(size=(3, 2))
-        np.testing.assert_array_equal(apply_gating(t, X), X)
+        np.testing.assert_array_equal(apply_transform(t, X), X)
 
     def test_dimension_mismatch_rejected(self):
         t = GatingTransform(np.ones(3), np.zeros(3))
         with pytest.raises(GraphError, match="3 features"):
-            apply_gating(t, np.ones((5, 4)))
+            apply_transform(t, np.ones((5, 4)))
 
 
 class TestResidual:
@@ -79,30 +79,30 @@ class TestResidual:
         spec = TransformSpec(kind="residual")
         t = self._zero_conv2(init_transform(spec, 3, 12, rng_for(0)))
         X = rng_for(1).normal(size=(4, 3, 12))
-        np.testing.assert_array_equal(apply_residual(t, X), X)
+        np.testing.assert_array_equal(apply_transform(t, X), X)
 
     def test_shape_preserved(self):
         t = init_transform(TransformSpec(kind="residual"), 2, 10, rng_for(2))
         X = rng_for(3).normal(size=(5, 2, 10))
-        assert apply_residual(t, X).shape == X.shape
+        assert apply_transform(t, X).shape == X.shape
 
     def test_single_sequence_round_trip_shape(self):
         t = init_transform(TransformSpec(kind="residual"), 2, 8, rng_for(2))
         X = rng_for(3).normal(size=(2, 8))
-        assert apply_residual(t, X).shape == (2, 8)
+        assert apply_transform(t, X).shape == (2, 8)
 
     def test_output_is_deterministic(self):
         t = init_transform(TransformSpec(kind="residual"), 3, 9, rng_for(5))
         X = rng_for(6).normal(size=(3, 3, 9))
-        np.testing.assert_array_equal(apply_residual(t, X),
-                                      apply_residual(t, X))
+        np.testing.assert_array_equal(apply_transform(t, X),
+                                      apply_transform(t, X))
 
     def test_gradient_wrt_conv_weights_matches_finite_differences(self):
         t = init_transform(TransformSpec(kind="residual"), 2, 6, rng_for(7))
         X = rng_for(8).normal(size=(2, 2, 6))
         x = dc.constant(X)
         nodes = {k: dc.leaf(k, v.shape) for k, v in t.params.items()}
-        out = residual_graph(x, nodes, t.d, t.blocks, t.kernel)
+        out = t.graph(x, nodes)
         graph = dc.Graph(dc.mean(dc.mul(out, out)))
         name = "block0_conv2_w"
         grads = graph.gradient(dict(t.params), wrt=[name])
@@ -216,18 +216,17 @@ class TestBasisGating:
         for kind, K in [("chebyshev", 3), ("pulse", 4)]:
             basis = make_basis(kind, 12, K)
             t = BasisGatingTransform(np.ones((3, basis.n_channels)),
-                                     np.zeros(3))
+                                     np.zeros(3), basis)
             X = rng_for(13).normal(size=(4, 3, 12))
-            np.testing.assert_allclose(apply_basis_gating(t, basis, X), X,
-                                       atol=1e-10)
+            np.testing.assert_allclose(apply_transform(t, X), X, atol=1e-10)
 
     def test_zeroing_residual_channel_keeps_smooth_part(self):
         basis = make_basis("chebyshev", 16, 3)
         gates = np.ones((2, 4))
         gates[:, 3] = 0.0  # suppress exactly the projection remainder
-        t = BasisGatingTransform(gates, np.zeros(2))
+        t = BasisGatingTransform(gates, np.zeros(2), basis)
         X = rng_for(14).normal(size=(5, 2, 16))
-        got = apply_basis_gating(t, basis, X)
+        got = apply_transform(t, X)
         proj = np.einsum("bdt,kt,ks->bds", X, basis.vectors, basis.vectors)
         np.testing.assert_allclose(got, proj, atol=1e-10)
 
@@ -235,9 +234,9 @@ class TestBasisGating:
         basis = make_basis("pulse", 16, 4)
         gates = np.ones((2, 4))
         gates[:, 0] = 0.0
-        t = BasisGatingTransform(gates, np.zeros(2))
+        t = BasisGatingTransform(gates, np.zeros(2), basis)
         X = rng_for(15).normal(size=(3, 2, 16))
-        got = apply_basis_gating(t, basis, X)
+        got = apply_transform(t, X)
         np.testing.assert_allclose(got[:, :, :4], 0.0, atol=1e-12)
         np.testing.assert_allclose(got[:, :, 4:], X[:, :, 4:], atol=1e-12)
 
@@ -252,9 +251,8 @@ class TestBasisGating:
 
     def test_channel_count_mismatch_rejected(self):
         basis = make_basis("chebyshev", 12, 3)
-        t = BasisGatingTransform(np.ones((2, 2)), np.zeros(2))
         with pytest.raises(GraphError, match="channel count"):
-            apply_basis_gating(t, basis, np.ones((1, 2, 12)))
+            BasisGatingTransform(np.ones((2, 2)), np.zeros(2), basis)
 
 
 class TestClamp:
@@ -285,7 +283,7 @@ class TestClamp:
 
     def test_clamps_basis_gates(self):
         t = BasisGatingTransform(np.array([[2.0, -1.0], [0.3, 0.9]]),
-                                 np.zeros(2))
+                                 np.zeros(2), make_basis("pulse", 4, 2))
         clamp_gates(t)
         np.testing.assert_array_equal(t.gates, [[1.0, 0.0], [0.3, 0.9]])
 
@@ -308,7 +306,7 @@ class TestInitAndCheckpoints:
     def test_residual_init_is_near_identity_map(self):
         t = init_transform(TransformSpec(kind="residual"), 3, 10, rng_for(21))
         X = rng_for(22).normal(size=(4, 3, 10))
-        out = apply_residual(t, X)
+        out = apply_transform(t, X)
         assert np.max(np.abs(out - X)) < 0.5
 
     def test_basis_init_gate_shape(self):
@@ -342,8 +340,8 @@ class TestInitAndCheckpoints:
             t.g[1] = 0.25
             t.b[2] = -1.5
         path = tmp_path / "t.json"
-        save_transform(t, path, basis=basis)
-        back, basis_back = load_transform(path)
+        save_transform(t, path)
+        back = load_transform(path)
         assert type(back) is type(t)
         X = rng_for(25).normal(size=(3, 3, 12))
         if kind == "gating":
@@ -351,9 +349,24 @@ class TestInitAndCheckpoints:
             np.testing.assert_array_equal(back.b, t.b)
         elif kind == "residual":
             np.testing.assert_array_equal(
-                apply_residual(back, X), apply_residual(t, X))
+                apply_transform(back, X), apply_transform(t, X))
         else:
-            np.testing.assert_array_equal(basis_back.vectors, basis.vectors)
+            np.testing.assert_array_equal(back.basis.vectors, basis.vectors)
             np.testing.assert_array_equal(
-                apply_basis_gating(back, basis_back, X),
-                apply_basis_gating(t, basis, X))
+                apply_transform(back, X), apply_transform(t, X))
+
+    def test_checkpoint_without_params_is_a_data_error(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"schema": "mindkit.transform/1", "kind": "gating"}')
+        with pytest.raises(DataError, match="params"):
+            load_transform(path)
+        path.write_text('{"schema": "mindkit.transform/1", "kind": "gating", '
+                        '"params": {"g": [1.0], "b": [0.0]}}')
+        with pytest.raises(DataError, match="malformed transform"):
+            load_transform(path)
+
+    def test_rejects_non_checkpoint_file(self, tmp_path):
+        path = tmp_path / "junk.json"
+        path.write_text('{"schema": "something-else"}')
+        with pytest.raises(GraphError, match="not a transform checkpoint"):
+            load_transform(path)

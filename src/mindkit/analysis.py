@@ -322,18 +322,35 @@ def build_report(result, config, feature_names: list[str],
 
 @dataclass
 class SanityOutcome:
+    """Rank correlations of one layer's refits with the reference scores.
+
+    A refit whose scores are constant has an undefined (NaN) correlation;
+    `undefined` counts those, and the mean and spread summarize the defined
+    ones only, so they are NaN only when no correlation is defined.
+    """
+
     layer: str
     rhos: list[float]
     pvalues: list[float]
     failures: int
 
     @property
+    def undefined(self) -> int:
+        return int(np.isnan(self.rhos).sum())
+
+    def _defined(self) -> np.ndarray:
+        rhos = np.asarray(self.rhos, dtype=np.float64)
+        return rhos[~np.isnan(rhos)]
+
+    @property
     def rho_mean(self) -> float:
-        return float(np.mean(self.rhos)) if self.rhos else float("nan")
+        rhos = self._defined()
+        return float(rhos.mean()) if rhos.size else float("nan")
 
     @property
     def rho_std(self) -> float:
-        return float(np.std(self.rhos)) if self.rhos else float("nan")
+        rhos = self._defined()
+        return float(rhos.std()) if rhos.size else float("nan")
 
 
 SANITY_RESTARTS = 3  # per shuffled instance, to bound the check's runtime

@@ -48,10 +48,29 @@ _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
                "tuple": list, "list": list, "None": type(None)}
 
 
+# element annotation of each list-valued config field, and its length
+# where that is fixed; an "int pair" is a list of two ints
+_ELEMENTS = {"beta": ("float", None), "planted": ("int", None),
+             "missing": ("int", None), "duplicates": ("int pair", None),
+             "split_fracs": ("float", 3)}
+
+
 def _fits(annotation: str, value) -> bool:
     types = [_JSON_TYPES[name] for name in annotation.split(" | ")]
     return isinstance(value, tuple(types)) and \
         (bool in types or not isinstance(value, bool))
+
+
+def _elements_fit(key: str, value) -> bool:
+    if key not in _ELEMENTS or not isinstance(value, list):
+        return True
+    kind, length = _ELEMENTS[key]
+    if length is not None and len(value) != length:
+        return False
+    if kind == "int pair":
+        return all(isinstance(v, list) and len(v) == 2
+                   and all(_fits("int", e) for e in v) for v in value)
+    return all(_fits(kind, v) for v in value)
 
 
 def _config_from_json(cls, path, overrides: dict | None = None):
@@ -73,6 +92,11 @@ def _config_from_json(cls, path, overrides: dict | None = None):
         if not _fits(allowed[key], value):
             raise DataError(f"{cls.__name__} key {key!r} must be "
                             f"{allowed[key]}, got {json.dumps(value)}")
+        if not _elements_fit(key, value):
+            kind, length = _ELEMENTS[key]
+            size = f"{length} " if length else ""
+            raise DataError(f"{cls.__name__} key {key!r} must be a list of "
+                            f"{size}{kind} values, got {json.dumps(value)}")
     for key, value in (overrides or {}).items():
         if value is not None:
             doc[key] = value
@@ -102,11 +126,19 @@ def _mind_config(args) -> MindConfig:
     return _config_from_json(MindConfig, args.config, overrides)
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_list(text: str, flag: str, kind) -> list:
+    """Comma-separated finite floats or, for kind int, positive integers;
+    blank items are skipped and at least one value is required."""
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
-    except ValueError as exc:
-        raise DataError(f"expected comma-separated numbers, got {text!r}") from exc
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(np.isfinite(values)) \
+            or kind is int and min(values) < 1:
+        want = "positive int" if kind is int else "finite float"
+        raise DataError(f"{flag} expects comma-separated {want} values, "
+                        f"got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +166,8 @@ def _cmd_train_model(args) -> None:
     if output is None:
         output = "probability" if dataset.task == "classification" \
             else "regression"
-    hidden = tuple(int(v) for v in args.hidden.split(",")) if args.hidden \
-        else ()
+    hidden = tuple(_parse_list(args.hidden, "--hidden", int)) \
+        if args.hidden else ()
     model = build_model(args.arch, dataset.d, seq_len=dataset.seq_len,
                         hidden=hidden, output=output,
                         kernel_size=args.kernel_size,
@@ -214,9 +246,12 @@ def _cmd_score(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    beta = _parse_floats(args.beta)
+    beta = np.array(_parse_list(args.beta, "--beta", float))
     if args.moment_csv is not None:
-        moment = np.loadtxt(args.moment_csv, delimiter=",", ndmin=2)
+        try:
+            moment = np.loadtxt(args.moment_csv, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"cannot read --moment-csv: {exc}") from exc
     elif args.data is not None:
         dataset = _load_data(args)
         X, _ = dataset.split("train")
@@ -225,6 +260,9 @@ def _cmd_oracle(args) -> None:
         moment = analysis.second_moment(X)
     else:
         moment = np.eye(beta.size)
+    if moment.shape != (beta.size, beta.size):
+        raise DataError(f"--beta has {beta.size} coefficients but the moment "
+                        f"matrix is {moment.shape[0]}x{moment.shape[1]}")
     sol = analysis.closed_form_gating(
         analysis.ClosedFormInputs(beta, moment, args.lam))
     print("g = (" + ", ".join(f"{v:g}" for v in sol.gates) + ")")
@@ -265,20 +303,23 @@ def _cmd_sanity_check(args) -> None:
                                      seed=config.seed, threads=args.threads)
     out = _outdir(args)
     schemas.write_json(out / "sanity.json", {
-        "schema": "mindkit.sanity/1",
+        "schema": "mindkit.sanity/2",
         "baseline": {"rho_mean": schemas.jsonsafe(base.rho_mean),
                      "rho_std": schemas.jsonsafe(base.rho_std),
+                     "undefined": base.undefined,
                      "failures": base.failures},
         "layers": [{"layer": o.layer,
                     "rho_mean": schemas.jsonsafe(o.rho_mean),
                     "rho_std": schemas.jsonsafe(o.rho_std),
                     "rhos": schemas.jsonsafe(o.rhos),
+                    "undefined": o.undefined,
                     "failures": o.failures} for o in outcomes],
     })
-    print(f"baseline rho {base.rho_mean:.3f} +- {base.rho_std:.3f}")
+    print(f"baseline rho {base.rho_mean:.3f} +- {base.rho_std:.3f} "
+          f"({base.undefined} undefined)")
     for o in outcomes:
         print(f"shuffled {o.layer}: rho {o.rho_mean:.3f} +- {o.rho_std:.3f} "
-              f"({o.failures} failures)")
+              f"({o.undefined} undefined, {o.failures} failures)")
 
 
 def _cmd_baselines(args) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import GraphError
@@ -66,9 +67,13 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitive operations
 #
-# Each op exposes forward(*values) and vjp(g, y, xs, needs) where `needs` is
-# a tuple of bools marking which parent gradients the caller will use; an op
-# may return None in unneeded slots to skip work.
+# Each op exposes forward(*values) and vjp(g, y, xs, needs, saved) where
+# `needs` is a tuple of bools marking which parent gradients the caller will
+# use; an op may return None in unneeded slots to skip work. An op whose
+# class sets `saves = True` returns (value, saved) from forward instead of the
+# value alone, and the graph hands that `saved` back to its vjp in the same
+# sweep (None otherwise). Ops are stateless: nothing is written to an op
+# during a sweep, so nodes may be shared between graphs.
 # ---------------------------------------------------------------------------
 
 
@@ -76,7 +81,7 @@ class _Add:
     def forward(self, a, b):
         return a + b
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         da = _unbroadcast(g, a.shape) if needs[0] else None
         db = _unbroadcast(g, b.shape) if needs[1] else None
@@ -87,7 +92,7 @@ class _Sub:
     def forward(self, a, b):
         return a - b
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         da = _unbroadcast(g, a.shape) if needs[0] else None
         db = _unbroadcast(-g, b.shape) if needs[1] else None
@@ -98,7 +103,7 @@ class _Mul:
     def forward(self, a, b):
         return a * b
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         da = _unbroadcast(g * b, a.shape) if needs[0] else None
         db = _unbroadcast(g * a, b.shape) if needs[1] else None
@@ -112,7 +117,7 @@ class _Scale:
     def forward(self, x):
         return self.c * x
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         return (self.c * g if needs[0] else None,)
 
 
@@ -120,7 +125,7 @@ class _MatMul:
     def forward(self, a, b):
         return a @ b
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         da = g @ b.T if needs[0] else None
         db = a.T @ g if needs[1] else None
@@ -131,7 +136,12 @@ class _Conv1d:
     """Grouped, dilated 1-D convolution with symmetric zero padding.
 
     Input (B, Cin, T), weight (Cout, Cin // groups, K); stride is fixed at 1.
+    The forward pass lays the zero-padded input out as window columns
+    (B, G, Cin/G * K, Tout), as in im2col, and runs one batched GEMM against
+    the weight; the columns are saved for the weight gradient.
     """
+
+    saves = True
 
     def __init__(self, padding: int, dilation: int, groups: int):
         self.padding = int(padding)
@@ -142,42 +152,39 @@ class _Conv1d:
         B, cin, T = x.shape
         cout, cg, K = w.shape
         G, p, d = self.groups, self.padding, self.dilation
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p))) if p else x
-        tout = T + 2 * p - d * (K - 1)
-        xg = xp.reshape(B, G, cin // G, -1)
-        wg = w.reshape(G, cout // G, cg, K)
-        out = np.zeros((B, G, cout // G, tout))
-        for k in range(K):
-            xk = xg[:, :, :, k * d:k * d + tout]
-            out += np.einsum("bgct,goc->bgot", xk, wg[:, :, :, k])
-        return out.reshape(B, cout, tout)
+        if p:
+            xp = np.zeros((B, cin, T + 2 * p))
+            xp[:, :, p:p + T] = x
+        else:
+            xp = x
+        win = sliding_window_view(xp, (K - 1) * d + 1, axis=2)[..., ::d]
+        tout = win.shape[2]
+        cols = win.reshape(B, G, cg, tout, K).transpose(0, 1, 2, 4, 3) \
+            .reshape(B, G, cg * K, tout)
+        out = np.matmul(w.reshape(G, cout // G, cg * K), cols)
+        return out.reshape(B, cout, tout), cols
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, cols):
         x, w = xs
         B, cin, T = x.shape
         cout, cg, K = w.shape
         G, p, d = self.groups, self.padding, self.dilation
         tout = y.shape[-1]
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p))) if p else x
-        xg = xp.reshape(B, G, cin // G, -1)
-        wg = w.reshape(G, cout // G, cg, K)
-        gg = g.reshape(B, G, cout // G, tout)
+        # a broadcast upstream gradient would push matmul off its BLAS path
+        gg = np.ascontiguousarray(g).reshape(B, G, cout // G, tout)
         dx = dw = None
         if needs[1]:
-            dwg = np.empty_like(wg)
-            for k in range(K):
-                xk = xg[:, :, :, k * d:k * d + tout]
-                dwg[:, :, :, k] = np.einsum("bgot,bgct->goc", gg, xk)
-            dw = dwg.reshape(w.shape)
+            dw = np.matmul(gg, cols.swapaxes(2, 3)).sum(axis=0)
+            dw = dw.reshape(w.shape)
         if needs[0]:
-            dxp = np.zeros_like(xg)
+            wg = w.reshape(G, cout // G, cg * K)
+            dcols = np.matmul(wg.transpose(0, 2, 1), gg)
+            # col2im into a time-major buffer, so each tap is one block add
+            taps = dcols.reshape(B, cin, K, tout).transpose(2, 3, 0, 1)
+            dxp = np.zeros((T + 2 * p, B, cin))
             for k in range(K):
-                dxp[:, :, :, k * d:k * d + tout] += np.einsum(
-                    "bgot,goc->bgct", gg, wg[:, :, :, k])
-            dxp = dxp.reshape(B, cin, T + 2 * p)
-            dx = dxp[:, :, p:p + T] if p else dxp
-            if p:
-                dx = np.ascontiguousarray(dx)
+                dxp[k * d:k * d + tout] += taps[k]
+            dx = np.ascontiguousarray(dxp[p:p + T].transpose(1, 2, 0))
         return dx, dw
 
 
@@ -185,23 +192,32 @@ class _Relu:
     def forward(self, x):
         return np.maximum(x, 0.0)
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         return (g * (xs[0] > 0) if needs[0] else None,)
 
 
 class _Gelu:
-    """Exact Gaussian-CDF form: x * Phi(x)."""
+    """Exact Gaussian-CDF form: x * Phi(x); Phi(x) is saved for the VJP."""
+
+    saves = True
 
     def forward(self, x):
-        return x * 0.5 * (1.0 + erf(x / _SQRT2))
+        cdf = erf(x / _SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
+        return x * cdf, cdf
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, cdf):
         if not needs[0]:
             return (None,)
         x = xs[0]
-        phi_cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-        phi_pdf = _PHI_SCALE * np.exp(-0.5 * x * x)
-        return (g * (phi_cdf + x * phi_pdf),)
+        # g * (cdf + x * pdf), accumulated in place in the pdf buffer
+        out = np.exp(-0.5 * x * x)
+        out *= _PHI_SCALE
+        out *= x
+        out += cdf
+        out *= g
+        return (out,)
 
 
 class _Sigmoid:
@@ -209,7 +225,7 @@ class _Sigmoid:
         t = np.exp(-np.abs(x))
         return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         return (g * y * (1.0 - y) if needs[0] else None,)
 
 
@@ -217,8 +233,11 @@ class _Normalize:
     """Zero-mean unit-variance rescaling along one axis (default trailing).
 
     Statistics come from the values present in the call; no state is kept,
-    so evaluation stays pure and per-slice outputs are independent.
+    so evaluation stays pure and per-slice outputs are independent. The
+    reciprocal standard deviation is saved for the VJP.
     """
+
+    saves = True
 
     def __init__(self, axis=-1):
         self.axis = axis
@@ -227,19 +246,19 @@ class _Normalize:
         mu = x.mean(axis=self.axis, keepdims=True)
         xc = x - mu
         var = (xc * xc).mean(axis=self.axis, keepdims=True)
-        return xc / np.sqrt(var + _BN_EPS)
+        sd = np.sqrt(var + _BN_EPS)
+        xc /= sd
+        return xc, 1.0 / sd
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, inv):
         if not needs[0]:
             return (None,)
-        x = xs[0]
-        mu = x.mean(axis=self.axis, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=self.axis, keepdims=True)
-        inv = 1.0 / np.sqrt(var + _BN_EPS)
         gm = g.mean(axis=self.axis, keepdims=True)
         gym = (g * y).mean(axis=self.axis, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        out = g - gm
+        out -= y * gym
+        out *= inv
+        return (out,)
 
 
 class _Mean:
@@ -249,7 +268,7 @@ class _Mean:
     def forward(self, x):
         return np.mean(x, axis=self.axis)
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         if not needs[0]:
             return (None,)
         x = xs[0]
@@ -266,7 +285,7 @@ class _Sum:
     def forward(self, x):
         return np.sum(x, axis=self.axis)
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         if not needs[0]:
             return (None,)
         x = xs[0]
@@ -279,7 +298,7 @@ class _Abs:
     def forward(self, x):
         return np.abs(x)
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         return (g * np.sign(xs[0]) if needs[0] else None,)
 
 
@@ -287,7 +306,7 @@ class _Dot:
     def forward(self, a, b):
         return np.asarray(np.vdot(a, b))
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         da = g * b if needs[0] else None
         db = g * a if needs[1] else None
@@ -302,7 +321,7 @@ class _DotRows:
         fb = b.reshape(b.shape[0], -1)
         return (fa * fb).sum(axis=1)
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         gcol = g.reshape(-1, *([1] * (a.ndim - 1)))
         da = gcol * b if needs[0] else None
@@ -314,7 +333,7 @@ class _Norm:
     def forward(self, x):
         return np.asarray(np.sqrt(np.vdot(x, x)))
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         if not needs[0]:
             return (None,)
         denom = max(float(y), 1e-300)
@@ -335,7 +354,7 @@ class _Cosine:
             return np.asarray(0.0)
         return np.asarray(np.vdot(a, b) / (na * nb))
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         na = float(np.sqrt(np.vdot(a, a)))
         nb = float(np.sqrt(np.vdot(b, b)))
@@ -355,7 +374,7 @@ class _CosineRows:
     def forward(self, a, b):
         return row_cosines(a, b)
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         a, b = xs
         fa = a.reshape(a.shape[0], -1)
         fb = b.reshape(b.shape[0], -1)
@@ -382,7 +401,7 @@ class _BceLogits:
     def forward(self, z, t):
         return np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         z, t = xs
         dz = None
         dt = None
@@ -402,7 +421,7 @@ class _Reshape:
     def forward(self, x):
         return x.reshape(self.shape)
 
-    def vjp(self, g, y, xs, needs):
+    def vjp(self, g, y, xs, needs, saved):
         return (g.reshape(xs[0].shape) if needs[0] else None,)
 
 
@@ -632,12 +651,17 @@ class Graph:
         self._pidx = [tuple(self._index[id(p)] for p in n.parents)
                       for n in self.nodes]
         self.leaves = {n.name: n for n in self.nodes if n.name is not None}
+        self._saves = [getattr(n.op, "saves", False) for n in self.nodes]
         self._needed_cache: dict[frozenset, list[bool]] = {}
 
     # -- forward ------------------------------------------------------------
 
-    def _forward(self, bindings: Mapping[str, np.ndarray]) -> list:
+    def _forward(self, bindings: Mapping[str, np.ndarray]
+                 ) -> tuple[list, list]:
+        """Node values plus, parallel to them, what each op saved for its
+        VJP in this sweep (None where an op saves nothing)."""
         vals: list = [None] * len(self.nodes)
+        saved: list = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
             if node.name is not None:
                 if node.name not in bindings:
@@ -649,13 +673,17 @@ class Graph:
                 vals[i] = val
             elif node.op is None:
                 vals[i] = node.value
+            elif self._saves[i]:
+                vals[i], saved[i] = node.op.forward(
+                    *(vals[j] for j in self._pidx[i]))
             else:
-                pv = self._pidx[i]
-                vals[i] = node.op.forward(*(vals[j] for j in pv))
-        return vals
+                vals[i] = node.op.forward(*(vals[j] for j in self._pidx[i]))
+        return vals, saved
 
     def evaluate(self, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self._forward(bindings)[-1]
+        """Output value under a binding; pure, so equal bindings give
+        bit-identical results."""
+        return self._forward(bindings)[0][-1]
 
     # -- reverse ------------------------------------------------------------
 
@@ -681,7 +709,7 @@ class Graph:
         for name in wrt:
             if name not in bindings and name not in self.leaves:
                 raise GraphError(f"gradient target {name!r} has no binding")
-        vals = self._forward(bindings)
+        vals, saved = self._forward(bindings)
         needed = self._needed(wrt)
         grads: list = [None] * len(self.nodes)
         grads[-1] = np.asarray(1.0)
@@ -693,7 +721,8 @@ class Graph:
             needs = tuple(needed[j] for j in pv)
             if not any(needs):
                 continue
-            parts = node.op.vjp(g, vals[i], tuple(vals[j] for j in pv), needs)
+            parts = node.op.vjp(g, vals[i], tuple(vals[j] for j in pv), needs,
+                                saved[i])
             for j, part in zip(pv, parts):
                 if part is None or not needed[j]:
                     continue

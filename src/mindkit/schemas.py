@@ -184,20 +184,24 @@ SCHEMAS: dict[str, dict] = {
             "degenerate": {"type": "boolean"},
         },
     },
-    "mindkit.sanity/1": {
+    "mindkit.sanity/2": {
         "type": "object",
         "required": ["schema", "baseline", "layers"],
         "properties": {
-            "schema": {"const": "mindkit.sanity/1"},
+            "schema": {"const": "mindkit.sanity/2"},
             "baseline": {"type": "object",
-                         "required": ["rho_mean", "rho_std"],
-                         "properties": {"rho_mean": _NUM, "rho_std": _NUM}},
+                         "required": ["rho_mean", "rho_std", "undefined"],
+                         "properties": {"rho_mean": _NUM, "rho_std": _NUM,
+                                        "undefined": {"type": "integer"}}},
             "layers": {"type": "array", "items": {
                 "type": "object",
-                "required": ["layer", "rho_mean", "rho_std", "failures"],
+                "required": ["layer", "rho_mean", "rho_std", "undefined",
+                             "failures"],
                 "properties": {"layer": {"type": "string"},
                                "rho_mean": _NUM, "rho_std": _NUM,
-                               "rhos": _NUMS, "failures": {"type": "integer"}},
+                               "rhos": _NUMS,
+                               "undefined": {"type": "integer"},
+                               "failures": {"type": "integer"}},
             }},
         },
     },

@@ -390,6 +390,17 @@ class TestSanityHarness:
         np.testing.assert_allclose(out.rho_std, 0.25)
         empty = SanityOutcome("w", [], [], 3)
         assert np.isnan(empty.rho_mean) and np.isnan(empty.rho_std)
+        assert empty.undefined == 0
+
+    def test_undefined_correlations_are_counted_not_spread(self):
+        nan = float("nan")
+        out = SanityOutcome("w", [0.5, nan, 1.0], [0.1, nan, 0.0], 0)
+        assert out.undefined == 1
+        assert out.rho_mean == 0.75
+        np.testing.assert_allclose(out.rho_std, 0.25)
+        none = SanityOutcome("w", [nan, nan], [nan, nan], 0)
+        assert none.undefined == 2
+        assert np.isnan(none.rho_mean) and np.isnan(none.rho_std)
 
     def test_shuffled_scores_tracked_per_layer(self, monkeypatch):
         m, ds = tiny_problem()

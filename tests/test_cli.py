@@ -1,15 +1,21 @@
 """Command-line surface: artifacts, determinism, and structured errors."""
 import csv
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mindkit
 from mindkit.cli import main
+from mindkit.data import SyntheticSpec
+from mindkit.mindtrain import MindConfig
+from mindkit.models import TrainConfig
 from mindkit.schemas import validate_artifact
 
 
@@ -110,6 +116,19 @@ class TestOracle:
         assert validate_artifact(doc) == "mindkit.error/1"
         assert doc["command"] == "oracle"
         assert "--lam" in doc["message"]
+
+    def test_moment_matrix_must_match_beta(self, tmp_path, capsys):
+        moment = tmp_path / "m.csv"
+        moment.write_text("1,0\n0,1\n")
+        doc = structured_error(capsys, ["oracle", "--beta", "1,2,3", "--lam",
+                                        "0.1", "--moment-csv", str(moment)],
+                               "oracle")
+        assert "2x2" in doc["message"]
+        doc = structured_error(capsys, ["oracle", "--beta", "1,2", "--lam",
+                                        "0.1", "--moment-csv",
+                                        str(tmp_path / "absent.csv")],
+                               "oracle")
+        assert "--moment-csv" in doc["message"]
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -287,6 +306,105 @@ class TestMalformedInputs:
         assert "params" in doc["message"]
 
 
+# Seeded fuzz over malformed CLI inputs, in the style of acceptance
+# criterion 01: a fixed seed draws bad elements into list-valued config
+# fields, wrongly typed config values, and bad --hidden / --beta lists. The
+# first two cases are fixed reproductions of defects this test guards.
+FUZZ_SEED = 20261018
+FUZZ_CASES = 48
+
+# a JSON value of the wrong type for each config annotation
+WRONG_FOR = {
+    "int": ["x", 1.5, True, None, [1], {"k": 1}],
+    "float": ["x", True, None, [0.5], {"k": 1}],
+    "float | None": ["x", True, [0.5], {"k": 1}],
+    "int | None": ["x", 1.5, True, [1]],
+    "str": [3, 1.5, True, None, ["a"]],
+    "bool": ["yes", 1, 0.0, None, [True]],
+    "list | None": ["x", 3, True, {"k": 1}],
+    "tuple": ["x", 3, True, {"k": 1}],
+}
+# list-valued SyntheticSpec fields: a valid value and bad element draws
+LIST_FIELDS = {
+    "split_fracs": ([0.7, 0.15, 0.15], ["a", None, True, [0.1], {"k": 1}]),
+    "planted": ([0], ["a", 0.5, None, True, [0]]),
+    "missing": ([1], ["a", 1.5, None, False, [1]]),
+    "beta": ([0.0, 1.0, -1.0], ["x", None, True, [1.0]]),
+    "duplicates": ([[1, 2]], [[1], [1, "a"], [1, 2, 2], 1, "x", [0.5, 1]]),
+}
+BAD_TOKENS = {"--hidden": ["x", "1.5", "-2", "0", "4e", "1e3"],
+              "--beta": ["x", "nan", "inf", "-inf", "1e400", "1..2", "0x1"]}
+
+
+def _draw_malformed(rng, root):
+    """Yield (argv, command) for one seeded malformed call per draw."""
+    def gen_data(doc, i):
+        path = root / f"gen{i}.json"
+        path.write_text(json.dumps(doc))
+        return ["gen-data", "--config", str(path), "--out",
+                str(root / "o")], "gen-data"
+
+    yield gen_data({"n": 40, "d": 3, "split_fracs": ["a", 0.2, 0.1]}, "r")
+    yield ["train-model", "--data", str(root / "data.csv"), "--hidden",
+           "4,x", "--out", str(root / "o")], "train-model"
+    configs = {"gen-data": SyntheticSpec, "train-model": TrainConfig,
+               "train-transform": MindConfig}
+    for i in range(FUZZ_CASES):
+        kind = int(rng.integers(4))
+        if kind == 0:  # a bad element in a list-valued field
+            key = str(rng.choice(sorted(LIST_FIELDS)))
+            good, bad = LIST_FIELDS[key]
+            value = list(good)
+            value[int(rng.integers(len(value)))] = \
+                bad[int(rng.integers(len(bad)))]
+            yield gen_data({"n": 40, "d": 3, key: value}, i)
+        elif kind == 1:  # a wrongly typed value for one config field
+            command = str(rng.choice(sorted(configs)))
+            field = rng.choice(dataclasses.fields(configs[command]))
+            wrong = WRONG_FOR[field.type]
+            doc = {"n": 40, "d": 3} if command == "gen-data" else {}
+            doc[field.name] = wrong[int(rng.integers(len(wrong)))]
+            path = root / f"cfg{i}.json"
+            path.write_text(json.dumps(doc))
+            argv = [command, "--config", str(path), "--out", str(root / "o")]
+            if command != "gen-data":
+                argv += ["--data", str(root / "data.csv")]
+            if command == "train-transform":
+                argv += ["--model", str(root / "model.json")]
+            yield argv, command
+        else:  # a bad --hidden or --beta list
+            flag = "--hidden" if kind == 2 else "--beta"
+            tokens = ["4", "2"][:int(rng.integers(3))]
+            bad = BAD_TOKENS[flag]
+            tokens.insert(int(rng.integers(len(tokens) + 1)),
+                          bad[int(rng.integers(len(bad)))])
+            text = ",".join(tokens)
+            if flag == "--hidden":
+                yield ["train-model", "--data", str(root / "data.csv"),
+                       "--hidden", text, "--out", str(root / "o")], \
+                    "train-model"
+            else:
+                yield ["oracle", "--beta", text, "--lam", "0.1"], "oracle"
+
+
+def test_fuzzed_malformed_inputs_are_one_json_line(pipeline, tmp_path,
+                                                   capsys):
+    for name in ("data.csv", "data.sidecar.json"):
+        shutil.copy(pipeline["data"].parent / name, tmp_path / name)
+    shutil.copy(pipeline["model"], tmp_path / "model.json")
+    rng = np.random.default_rng(FUZZ_SEED)
+    for argv, command in _draw_malformed(rng, tmp_path):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, argv
+        assert "Traceback" not in err, argv
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, (argv, err)
+        doc = json.loads(lines[0])
+        assert validate_artifact(doc) == "mindkit.error/1"
+        assert doc["command"] == command, argv
+
+
 class TestTuneLambda:
     def test_writes_trace_and_transform(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "mind.json"
@@ -333,7 +451,7 @@ class TestSanityCheck:
         out = capsys.readouterr().out
         assert "baseline rho" in out
         doc = read(tmp_path / "sanity" / "sanity.json")
-        assert validate_artifact(doc) == "mindkit.sanity/1"
+        assert validate_artifact(doc) == "mindkit.sanity/2"
         assert [e["layer"] for e in doc["layers"]] == ["w0", "w1"]
 
 

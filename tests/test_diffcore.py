@@ -125,6 +125,11 @@ class TestGradientValues:
                  "w1": rng.normal(size=(4, 1))}
         assert_grads_match(graph, binds, ["x", "w0", "w1"])
 
+    def test_scalar_gelu_gradient(self):
+        x = dc.leaf("x", ())
+        graph = dc.Graph(dc.gelu(x))
+        assert_grads_match(graph, {"x": np.array(0.3)}, ["x"])
+
     def test_unreachable_leaf_gradient_is_zero(self):
         x = dc.leaf("x", (3,))
         z = dc.leaf("z", (2,))
@@ -223,15 +228,68 @@ class TestConv1d:
         want = self._naive_conv(xv, wv, padding, dilation, groups)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("padding,dilation,groups,K,cout", [
+        (2, 2, 2, 3, 6),   # dilated grouped
+        (0, 1, 1, 3, 6),   # no padding
+        (0, 1, 4, 1, 4),   # kernel 1, one output per group: basis gating
+        (2, 1, 1, 5, 6),   # kernel 5, same padding: residual transform
+        (1, 1, 1, 3, 8),   # the seqconv model's first layer
+        (0, 3, 2, 2, 2),   # dilation without padding
+        (3, 1, 1, 1, 4),   # kernel 1 with padding wider than its span
+    ])
+    def test_gradients_match_finite_differences(self, padding, dilation,
+                                                groups, K, cout):
         rng = np.random.default_rng(22)
         xv = rng.normal(size=(2, 4, 9))
-        wv = rng.normal(size=(6, 2, 3))
+        wv = rng.normal(size=(cout, 4 // groups, K))
         x = dc.leaf("x", xv.shape)
         w = dc.leaf("w", wv.shape)
-        y = dc.conv1d(x, w, padding=2, dilation=2, groups=2)
+        y = dc.conv1d(x, w, padding=padding, dilation=dilation, groups=groups)
         g = dc.Graph(dc.mean(dc.mul(y, y)))
         assert_grads_match(g, {"x": xv, "w": wv}, ["x", "w"])
+
+
+def _seq_block(x, w):
+    """conv -> normalize -> GeLU, the ops that save values for their VJPs."""
+    h = dc.gelu(dc.normalize(dc.conv1d(x, w, padding=1), axis=1))
+    return dc.normalize(h)
+
+
+class TestSavedValues:
+    """Forward sweeps hand saved values to their own reverse sweep only."""
+
+    def _bindings(self, seed):
+        rng = np.random.default_rng(seed)
+        return {"x": rng.normal(size=(3, 4, 7)),
+                "w": rng.normal(size=(5, 4, 3))}
+
+    def test_no_leak_between_sweeps_or_graphs_sharing_nodes(self):
+        x, w = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))
+        h = _seq_block(x, w)
+        loss = dc.Graph(dc.mean(dc.mul(h, h)))
+        other = dc.Graph(dc.sum_(dc.abs_(h)))
+        first, second = self._bindings(1), self._bindings(2)
+        loss.evaluate(first)
+        other.value_and_grad(first, wrt=["x", "w"])
+        val, grads = loss.value_and_grad(second, wrt=["x", "w"])
+
+        fx, fw = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))
+        fh = _seq_block(fx, fw)
+        fresh = dc.Graph(dc.mean(dc.mul(fh, fh)))
+        want_val, want = fresh.value_and_grad(second, wrt=["x", "w"])
+        assert val == want_val
+        for name in ("x", "w"):
+            np.testing.assert_array_equal(grads[name], want[name])
+
+    def test_ops_are_not_written_during_a_sweep(self):
+        x, w = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))
+        h = _seq_block(x, w)
+        graph = dc.Graph(dc.mean(dc.cosine_rows(h, dc.gelu(h))))
+        ops = [n.op for n in graph.nodes if n.op is not None]
+        before = [dict(vars(op)) for op in ops]
+        graph.evaluate(self._bindings(3))
+        graph.value_and_grad(self._bindings(4), wrt=["x", "w"])
+        assert [dict(vars(op)) for op in ops] == before
 
 
 class TestStability:

@@ -356,6 +356,34 @@ class SanityOutcome:
 SANITY_RESTARTS = 3  # per shuffled instance, to bound the check's runtime
 
 
+def _refit_outcome(layer: str, fits, tspec, dataset: Dataset,
+                   reference_scores: np.ndarray,
+                   threads: int) -> SanityOutcome:
+    """Refit each (model, config) pair in `fits` with SANITY_RESTARTS
+    restarts and rank-correlate its scores with reference_scores. A fit
+    that raises TrainingError is counted as a failure, not fatal."""
+    from . import mindtrain  # deferred: mindtrain imports this module
+
+    reference = np.asarray(reference_scores, dtype=np.float64).ravel()
+    rhos: list[float] = []
+    pvals: list[float] = []
+    failures = 0
+    for model, config in fits:
+        config = replace(config, restarts=SANITY_RESTARTS,
+                         top_k=min(config.top_k, SANITY_RESTARTS))
+        try:
+            result = mindtrain.multi_restart(model, tspec, dataset, config,
+                                             threads=threads)
+        except TrainingError:
+            failures += 1
+            continue
+        rho, p = spearman(reference, result.feature_scores())
+        rhos.append(rho)
+        pvals.append(p)
+    return SanityOutcome(layer=layer, rhos=rhos, pvalues=pvals,
+                         failures=failures)
+
+
 def sanity_check(model: Model, tspec, dataset: Dataset, config,
                  reference_scores: np.ndarray, *, shuffles: int = 5,
                  seed: int = 0, threads: int = 1) -> list[SanityOutcome]:
@@ -367,31 +395,14 @@ def sanity_check(model: Model, tspec, dataset: Dataset, config,
     reference_scores by rank correlation. Fits that fail to converge are
     counted and excluded rather than aborting the check.
     """
-    from . import mindtrain  # deferred: mindtrain imports this module
-
-    config = replace(config, restarts=SANITY_RESTARTS,
-                     top_k=min(config.top_k, SANITY_RESTARTS))
-    reference = np.asarray(reference_scores, dtype=np.float64).ravel()
-    outcomes = []
-    for li, layer in enumerate(model.layer_names()):
-        rhos: list[float] = []
-        pvals: list[float] = []
-        failures = 0
+    def damaged(li: int, layer: str):
         for s in range(shuffles):
             rng = substream(seed, f"sanity.{layer}.shuffle{s}")
-            damaged = shuffle_layer(model, li, rng)
-            try:
-                result = mindtrain.multi_restart(damaged, tspec, dataset,
-                                                 config, threads=threads)
-            except TrainingError:
-                failures += 1
-                continue
-            rho, p = spearman(reference, result.feature_scores())
-            rhos.append(rho)
-            pvals.append(p)
-        outcomes.append(SanityOutcome(layer=layer, rhos=rhos, pvalues=pvals,
-                                      failures=failures))
-    return outcomes
+            yield shuffle_layer(model, li, rng), config
+
+    return [_refit_outcome(layer, damaged(li, layer), tspec, dataset,
+                           reference_scores, threads)
+            for li, layer in enumerate(model.layer_names())]
 
 
 def restart_baseline(model: Model, tspec, dataset: Dataset, config,
@@ -403,26 +414,10 @@ def restart_baseline(model: Model, tspec, dataset: Dataset, config,
     against: each instance refits with fresh training randomness and is
     compared to reference_scores exactly as sanity_check does.
     """
-    from . import mindtrain  # deferred: mindtrain imports this module
+    def reseeded():
+        for s in range(instances):
+            rng = substream(seed, f"baseline.instance{s}")
+            yield model, replace(config, seed=int(rng.integers(2 ** 31 - 1)))
 
-    config = replace(config, restarts=SANITY_RESTARTS,
-                     top_k=min(config.top_k, SANITY_RESTARTS))
-    reference = np.asarray(reference_scores, dtype=np.float64).ravel()
-    rhos: list[float] = []
-    pvals: list[float] = []
-    failures = 0
-    for s in range(instances):
-        inst_seed = int(substream(seed, f"baseline.instance{s}")
-                        .integers(2 ** 31 - 1))
-        cfg = replace(config, seed=inst_seed)
-        try:
-            result = mindtrain.multi_restart(model, tspec, dataset, cfg,
-                                             threads=threads)
-        except TrainingError:
-            failures += 1
-            continue
-        rho, p = spearman(reference, result.feature_scores())
-        rhos.append(rho)
-        pvals.append(p)
-    return SanityOutcome(layer="baseline", rhos=rhos, pvalues=pvals,
-                         failures=failures)
+    return _refit_outcome("baseline", reseeded(), tspec, dataset,
+                          reference_scores, threads)

@@ -11,6 +11,8 @@ import csv
 import dataclasses
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -43,34 +45,28 @@ def _load_data(args) -> Dataset:
     return load_dataset(args.data, _sidecar_path(args.data, args.sidecar))
 
 
-# JSON value types that each config field annotation accepts
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
-               "tuple": list, "list": list, "None": type(None)}
-
-
-# element annotation of each list-valued config field, and its length
-# where that is fixed; an "int pair" is a list of two ints
-_ELEMENTS = {"beta": ("float", None), "planted": ("int", None),
-             "missing": ("int", None), "duplicates": ("int pair", None),
-             "split_fracs": ("float", 3)}
-
-
-def _fits(annotation: str, value) -> bool:
-    types = [_JSON_TYPES[name] for name in annotation.split(" | ")]
-    return isinstance(value, tuple(types)) and \
-        (bool in types or not isinstance(value, bool))
-
-
-def _elements_fit(key: str, value) -> bool:
-    if key not in _ELEMENTS or not isinstance(value, list):
-        return True
-    kind, length = _ELEMENTS[key]
-    if length is not None and len(value) != length:
-        return False
-    if kind == "int pair":
-        return all(isinstance(v, list) and len(v) == 2
-                   and all(_fits("int", e) for e in v) for v in value)
-    return all(_fits(kind, v) for v in value)
+def _from_json(hint, value):
+    """A JSON value as the annotated type `hint`, with lists turned into
+    tuples where the hint asks for one; TypeError when it does not fit.
+    An int passes for a float, a bool for nothing but a bool."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        for arm in args:
+            try:
+                return _from_json(arm, value)
+            except TypeError:
+                pass
+    elif origin in (list, tuple) and isinstance(value, list):
+        if origin is list or args[-1] is Ellipsis:
+            return origin(_from_json(args[0], v) for v in value)
+        if len(value) == len(args):
+            return tuple(_from_json(a, v) for a, v in zip(args, value))
+    elif origin is None:
+        accepted = (int, float) if hint is float else hint
+        if isinstance(value, accepted) \
+                and (hint is bool or not isinstance(value, bool)):
+            return value
+    raise TypeError(f"{value!r} is not {hint}")
 
 
 def _config_from_json(cls, path, overrides: dict | None = None):
@@ -88,24 +84,17 @@ def _config_from_json(cls, path, overrides: dict | None = None):
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise DataError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
     for key, value in doc.items():
-        if not _fits(allowed[key], value):
-            raise DataError(f"{cls.__name__} key {key!r} must be "
-                            f"{allowed[key]}, got {json.dumps(value)}")
-        if not _elements_fit(key, value):
-            kind, length = _ELEMENTS[key]
-            size = f"{length} " if length else ""
-            raise DataError(f"{cls.__name__} key {key!r} must be a list of "
-                            f"{size}{kind} values, got {json.dumps(value)}")
+        try:
+            doc[key] = _from_json(hints[key], value)
+        except TypeError:
+            raise DataError(
+                f"{cls.__name__} key {key!r} must be {allowed[key]}, "
+                f"got {json.dumps(value)}") from None
     for key, value in (overrides or {}).items():
         if value is not None:
             doc[key] = value
-    for key, value in doc.items():
-        if isinstance(value, list) and key in ("split_fracs", "hidden",
-                                               "planted", "duplicates",
-                                               "missing"):
-            doc[key] = tuple(tuple(v) if isinstance(v, list) else v
-                             for v in value)
     return cls(**doc)
 
 
@@ -197,8 +186,10 @@ def _cmd_train_transform(args) -> None:
     report = analysis.build_report(result, config, dataset.feature_names,
                                    channel_names)
     schemas.write_json(out / "manifest.json", report)
+    failed = "; ".join(f"{r}: {reason}" for r, reason
+                       in zip(result.failed, result.failure_reasons))
     print(f"wrote {out / 'manifest.json'} "
-          f"(selected restarts {result.selected}, failed {result.failed})")
+          f"(selected restarts {result.selected}, failed [{failed}])")
 
 
 def _cmd_tune_lambda(args) -> None:
@@ -374,8 +365,6 @@ def _add_transform_args(p: argparse.ArgumentParser) -> None:
                    help="per-feature intercept (default: on for gating, "
                         "off for basis)")
     p.add_argument("--config", default=None, help="MindConfig JSON")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel restart workers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -418,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit an invariance transform to a frozen model")
     _add_data_args(p)
     _add_transform_args(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="parallel restart workers")
     p.add_argument("--lam", type=float, default=None,
                    help="override the config's penalty weight")
     p.add_argument("--seed", type=int, default=None)
@@ -457,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "report")
     _add_data_args(p)
     _add_transform_args(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="parallel restart workers")
     p.add_argument("--report", required=True,
                    help="reference report/manifest JSON")
     p.add_argument("--shuffles", type=int, default=5)

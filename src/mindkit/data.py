@@ -223,16 +223,16 @@ class SyntheticSpec:
     d: int
     seq_len: int | None = None
     task: str = "classification"
-    beta: list | None = None
-    planted: tuple = ()
-    duplicates: tuple = ()
-    missing: tuple = ()
+    beta: list[float] | None = None
+    planted: tuple[int, ...] = ()
+    duplicates: tuple[tuple[int, int], ...] = ()
+    missing: tuple[int, ...] = ()
     missing_rate: float = 0.2
     indicator_beta: float = 0.0
     label_noise: float = 0.0
     strong_lo: float = 1.0
     strong_hi: float = 2.0
-    split_fracs: tuple = (0.7, 0.15, 0.15)
+    split_fracs: tuple[float, float, float] = (0.7, 0.15, 0.15)
     seed: int = 0
 
     def validate(self) -> None:

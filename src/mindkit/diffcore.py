@@ -449,36 +449,6 @@ class Node:
             return f"Node(const, shape={self.shape})"
         return f"Node({type(self.op).__name__}, shape={self.shape})"
 
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _lift(x) -> Node:
-    if isinstance(x, Node):
-        return x
-    return constant(x)
-
 
 def leaf(name: str, shape: Iterable[int]) -> Node:
     """A named placeholder bound to a value at evaluation time."""

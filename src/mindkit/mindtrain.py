@@ -21,12 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import analysis
 from . import diffcore as dc
 from . import transforms as tf
 from .data import Dataset, substream
 from .errors import GraphError, TrainingError
 from .models import Model, OUTPUT_KINDS, forward_graph, param_nodes, predict
-from .optim import Adam, PlateauSchedule
+from .optim import Adam, PlateauSchedule, fit
 
 SIMILARITIES = ("cosine", "inner_product", "l1_gate_weights")
 DISTANCES = ("w1", "squared")
@@ -76,10 +77,10 @@ class MindDiagnostics:
     epochs: int
     train_curve: list
     val_curve: list
+    lr_curve: list           # learning rate in force during each epoch
     val_loss: float
     w1_mean: float           # validation mean |f - f'|, always the W1 form
     cosine_mean: float       # validation mean per-instance cosine
-    similarity_term: float   # the S actually optimized, on validation
     gate_min: float
     gate_max: float
     stop_reason: str
@@ -97,7 +98,7 @@ def w1_reduced(model: Model, X: np.ndarray, Xp: np.ndarray):
 
 
 class _Problem:
-    """Loss/metric graphs for one transform, cached per batch size."""
+    """The loss graph for one transform, cached per batch size."""
 
     def __init__(self, model: Model, transform, config: MindConfig):
         self.model = model
@@ -106,9 +107,9 @@ class _Problem:
         if config.similarity == "l1_gate_weights" and transform.gate_key is None:
             raise TrainingError(
                 "l1_gate_weights similarity needs a gated transform family")
-        self._graphs: dict[int, dict[str, dc.Graph]] = {}
+        self._graphs: dict[int, dc.Graph] = {}
 
-    def _build(self, B: int) -> dict[str, dc.Graph]:
+    def _build(self, B: int) -> dc.Graph:
         cfg = self.config
         t = self.transform
         d, T = self.model.input_dim, self.model.seq_len
@@ -130,10 +131,9 @@ class _Problem:
         else:
             sim = dc.sum_(dc.abs_(nodes[t.gate_key]))
         loss = dist if cfg.lam == 0 else dc.add(dist, dc.scale(sim, cfg.lam))
-        return {"loss": dc.Graph(loss), "dist": dc.Graph(dist),
-                "sim": dc.Graph(sim)}
+        return dc.Graph(loss)
 
-    def _graphs_for(self, B: int) -> dict[str, dc.Graph]:
+    def _graph_for(self, B: int) -> dc.Graph:
         if B not in self._graphs:
             self._graphs[B] = self._build(B)
         return self._graphs[B]
@@ -142,18 +142,13 @@ class _Problem:
         return {**self.transform.params, "x": X, "fc": fc, **extra}
 
     def value_and_grad(self, X, fc, extra):
-        g = self._graphs_for(len(X))["loss"]
+        g = self._graph_for(len(X))
         return g.value_and_grad(self.bindings(X, fc, extra),
                                 wrt=list(self.transform.params))
 
     def loss(self, X, fc, extra) -> float:
-        g = self._graphs_for(len(X))["loss"]
+        g = self._graph_for(len(X))
         return float(g.evaluate(self.bindings(X, fc, extra)))
-
-    def terms(self, X, fc, extra) -> tuple[float, float]:
-        gs = self._graphs_for(len(X))
-        binds = self.bindings(X, fc, extra)
-        return float(gs["dist"].evaluate(binds)), float(gs["sim"].evaluate(binds))
 
 
 def mind_loss(model: Model, transform, X: np.ndarray,
@@ -196,58 +191,33 @@ def train_transform(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     sched = PlateauSchedule(config.patience, config.min_delta, config.lr_floor)
     bs = config.batch_size or min(100, max(1, len(Xtr) // 4))
     gate_key = transform.gate_key
-
-    train_curve: list[float] = []
-    val_curve: list[float] = []
     gate_min, gate_max = np.inf, -np.inf
-    best_loss, best_params = np.inf, None
-    stop_reason = "max_epochs"
-    epoch = 0
 
-    for epoch in range(config.max_epochs):
-        order = shuffle_rng.permutation(len(Xtr))
-        total, count = 0.0, 0
-        for start in range(0, len(order), bs):
-            idx = order[start:start + bs]
-            batch = {k: v[idx] for k, v in extra_tr.items()}
-            loss, grads = problem.value_and_grad(Xtr[idx], fc_tr[idx], batch)
-            loss = float(loss)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite transform loss (restart {restart}, epoch {epoch})")
-            opt.step(grads)
-            tf.clamp_gates(transform)
-            if gate_key is not None:
-                gates = params[gate_key]
-                gate_min = min(gate_min, float(gates.min()))
-                gate_max = max(gate_max, float(gates.max()))
-            total += loss * len(idx)
-            count += len(idx)
-        val_loss = problem.loss(Xva, fc_va, extra_va)
-        if not np.isfinite(val_loss):
-            raise TrainingError(
-                f"non-finite validation objective (restart {restart}, epoch {epoch})")
-        train_curve.append(total / count)
-        val_curve.append(val_loss)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
-        if not sched.update(val_loss, opt):
-            stop_reason = "lr_floor"
-            break
+    def loss_and_grad(idx):
+        batch = {k: v[idx] for k, v in extra_tr.items()}
+        return problem.value_and_grad(Xtr[idx], fc_tr[idx], batch)
 
-    if best_params is not None:
-        for k, v in best_params.items():
-            np.copyto(params[k], v)
+    def after_step():
+        nonlocal gate_min, gate_max
+        tf.clamp_gates(transform)
+        if gate_key is not None:
+            gates = params[gate_key]
+            gate_min = min(gate_min, float(gates.min()))
+            gate_max = max(gate_max, float(gates.max()))
+
+    history, stop_reason = fit(
+        params, loss_and_grad, lambda: problem.loss(Xva, fc_va, extra_va),
+        len(Xtr), bs, config.max_epochs, shuffle_rng, opt, sched,
+        f"transform restart {restart}", after_step)
 
     Xp_va = tf.apply_transform(transform, Xva, seq=dataset.seq_len is not None)
     w1_mean = float(np.mean(w1_reduced(model, Xva, Xp_va)))
     cos_mean = float(np.mean(dc.row_cosines(Xva, Xp_va)))
-    _, sim_term = problem.terms(Xva, fc_va, extra_va)
     diag = MindDiagnostics(
-        restart=restart, epochs=epoch + 1, train_curve=train_curve,
-        val_curve=val_curve, val_loss=best_loss, w1_mean=w1_mean,
-        cosine_mean=cos_mean, similarity_term=sim_term,
+        restart=restart, epochs=len(history["val_loss"]),
+        train_curve=history["train_loss"], val_curve=history["val_loss"],
+        lr_curve=history["lr"], val_loss=min(history["val_loss"]),
+        w1_mean=w1_mean, cosine_mean=cos_mean,
         gate_min=gate_min if gate_key else float("nan"),
         gate_max=gate_max if gate_key else float("nan"),
         stop_reason=stop_reason)
@@ -284,7 +254,9 @@ def tune_lambda(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     within w1_limit and the validation cosine within cosine_limit.
 
     If no grid point satisfies both, the least-violating point is returned
-    with feasible=False.
+    with feasible=False. A grid point whose fit raises TrainingError is
+    traced as infeasible with its error; only if every point fails does
+    the sweep raise.
     """
     grid = sorted(grid) if grid else lambda_grid()
     trace: list[dict] = []
@@ -292,7 +264,14 @@ def tune_lambda(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     best_violation = np.inf
     for lam in grid:
         cfg = replace(config, lam=lam)
-        transform, diag = train_transform(model, tspec, dataset, cfg, restart=0)
+        try:
+            transform, diag = train_transform(model, tspec, dataset, cfg,
+                                              restart=0)
+        except TrainingError as exc:
+            trace.append({"lambda": lam, "w1": None, "cosine": None,
+                          "val_loss": None, "feasible": False,
+                          "error": str(exc)})
+            continue
         ok = (diag.w1_mean <= config.w1_limit
               and diag.cosine_mean <= config.cosine_limit)
         trace.append({"lambda": lam, "w1": diag.w1_mean,
@@ -305,6 +284,9 @@ def tune_lambda(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         if violation < best_violation:
             best_violation = violation
             best = (lam, transform, diag)
+    if best is None:
+        raise TrainingError(f"every one of {len(grid)} lambda grid points "
+                            f"failed; last: {trace[-1]['error']}")
     lam, transform, diag = best
     return TuneResult(lam, False, transform, diag, trace)
 
@@ -327,6 +309,7 @@ class MindResult:
     diagnostics: list[MindDiagnostics]
     transforms: list
     lam: float
+    failure_reasons: list[str] = field(default_factory=list)  # per failed
 
     def feature_scores(self) -> np.ndarray:
         """Per-feature summary: channel gates average over channels."""
@@ -358,8 +341,6 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     profile for the residual family. Mean and std use the selected runs
     (population std, so a single selected run reports zero spread).
     """
-    from . import analysis  # deferred: analysis imports this module
-
     jobs = [(model, tspec, dataset, config, r) for r in range(config.restarts)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -367,8 +348,8 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     else:
         outcomes = [_run_restart(j) for j in jobs]
 
-    runs = [(r, t, d) for r, t, d, err in outcomes if t is not None]
-    failed = [r for r, t, _, _ in outcomes if t is None]
+    runs = [(r, t, d) for r, t, d, _ in outcomes if t is not None]
+    failures = [(r, err) for r, t, _, err in outcomes if t is None]
     if len(runs) < config.top_k:
         raise TrainingError(
             f"only {len(runs)} of {config.restarts} restarts succeeded; "
@@ -388,7 +369,7 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         score_kind=first.score_kind, samples=scores,
         mean=scores.mean(axis=0), std=scores.std(axis=0),
         rho_mean=rho.mean(axis=0), rho_std=rho.std(axis=0),
-        selected=[r for r, _, _ in top], failed=failed,
+        selected=[r for r, _, _ in top], failed=[r for r, _ in failures],
         diagnostics=[d for _, _, d in runs],
         transforms=[t for _, t, _ in top],
-        lam=config.lam)
+        lam=config.lam, failure_reasons=[err for _, err in failures])

@@ -12,6 +12,7 @@ downstream code interprets the output distribution.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from .data import Dataset, substream
 from .errors import DataError, GraphError, TrainingError
-from .optim import Adam, PlateauSchedule
+from .optim import Adam, PlateauSchedule, fit
 from .schemas import validate_artifact
 
 ARCHITECTURES = ("linear", "mlp", "seqconv")
@@ -222,55 +223,28 @@ def train(model: Model, dataset: Dataset,
     opt = Adam(params, lr=config.lr)
     sched = PlateauSchedule(config.patience, config.min_delta, config.lr_floor)
     rng = substream(config.seed, "model-train.shuffle")
-    graphs: dict[int, dc.Graph] = {}
-
-    def graph_for(b: int) -> dc.Graph:
-        if b not in graphs:
-            shape = (b,) + Xtr.shape[1:]
-            graphs[b] = _loss_graph(fitted, shape)
-        return graphs[b]
+    graph_for = functools.cache(
+        lambda b: _loss_graph(fitted, (b,) + Xtr.shape[1:]))
 
     eps = config.pgd_eps if config.adversarial else 0.0
     step = config.pgd_step if config.pgd_step is not None else eps / 4.0
     names = list(params)
-    history = {"train_loss": [], "val_loss": [], "lr": []}
-    best_loss, best_params = np.inf, None
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(Xtr))
-        total, count = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            Xb, yb = Xtr[idx], ytr[idx]
-            g = graph_for(len(idx))
-            binds = {**params, "y": yb}
-            if eps > 0:
-                Xb = _pgd_perturb(g, dict(binds), Xb, eps, step,
-                                  config.pgd_iters)
-            binds["x"] = Xb
-            loss, grads = g.value_and_grad(binds, wrt=names)
-            loss = float(loss)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite training loss at epoch {epoch} "
-                    f"(lr={opt.lr:g}); inspect data scaling or lower lr")
-            opt.step(grads)
-            total += loss * len(idx)
-            count += len(idx)
-        vg = graph_for(len(Xva))
-        val_loss = float(vg.evaluate({**params, "x": Xva, "y": yva}))
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        history["train_loss"].append(total / count)
-        history["val_loss"].append(val_loss)
-        history["lr"].append(opt.lr)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
-        if not sched.update(val_loss, opt):
-            break
-    if best_params is not None:
-        fitted.params = best_params
+    def loss_and_grad(idx):
+        Xb = Xtr[idx]
+        g = graph_for(len(idx))
+        binds = {**params, "y": ytr[idx]}
+        if eps > 0:
+            Xb = _pgd_perturb(g, dict(binds), Xb, eps, step, config.pgd_iters)
+        binds["x"] = Xb
+        return g.value_and_grad(binds, wrt=names)
+
+    def val_loss():
+        return graph_for(len(Xva)).evaluate({**params, "x": Xva, "y": yva})
+
+    history, _ = fit(params, loss_and_grad, val_loss, len(Xtr),
+                     config.batch_size, config.max_epochs, rng, opt, sched,
+                     "model training")
     return fitted, history
 
 

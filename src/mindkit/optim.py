@@ -1,7 +1,10 @@
-"""Adaptive-moment optimizer and plateau learning-rate schedule."""
+"""Adaptive-moment optimizer, plateau learning-rate schedule, and the
+epoch loop that model and transform fits share."""
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import TrainingError
 
 
 class Adam:
@@ -69,3 +72,54 @@ class PlateauSchedule:
                 opt.lr /= 2.0
                 self.bad_epochs = 0
         return opt.lr >= self.floor
+
+
+def fit(params: dict[str, np.ndarray], loss_and_grad, val_loss, n: int,
+        batch_size: int, max_epochs: int, rng: np.random.Generator,
+        opt: Adam, sched: PlateauSchedule, what: str,
+        after_step=None) -> tuple[dict, str]:
+    """Minibatch epochs over `n` training rows; returns (history, stop reason).
+
+    Each epoch visits the rows in a fresh `rng` permutation, `batch_size` at
+    a time: `loss_and_grad(idx)` gives the batch loss and the gradients of
+    `params`, `opt` steps, and `after_step()` runs if given. `val_loss()` is
+    read after every epoch and feeds `sched`. A non-finite loss raises
+    TrainingError naming `what`. On return `params` hold, in place, the
+    values of the epoch with the lowest validation loss. The history has
+    per-epoch "train_loss", "val_loss" and "lr"; the stop reason is
+    "max_epochs" or "lr_floor".
+    """
+    history = {"train_loss": [], "val_loss": [], "lr": []}
+    best_loss, best_params = np.inf, {}
+    stop_reason = "max_epochs"
+    for epoch in range(max_epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            loss, grads = loss_and_grad(idx)
+            loss = float(loss)
+            if not np.isfinite(loss):
+                raise TrainingError(
+                    f"non-finite training loss in {what} at epoch {epoch} "
+                    f"(lr={opt.lr:g}); inspect data scaling or lower lr")
+            opt.step(grads)
+            if after_step is not None:
+                after_step()
+            total += loss * len(idx)
+        val = float(val_loss())
+        if not np.isfinite(val):
+            raise TrainingError(
+                f"non-finite validation loss in {what} at epoch {epoch}")
+        history["train_loss"].append(total / n)
+        history["val_loss"].append(val)
+        history["lr"].append(opt.lr)
+        if val < best_loss:
+            best_loss = val
+            best_params = {k: v.copy() for k, v in params.items()}
+        if not sched.update(val, opt):
+            stop_reason = "lr_floor"
+            break
+    for k, v in best_params.items():
+        np.copyto(params[k], v)
+    return history, stop_reason

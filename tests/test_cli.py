@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import mindkit
+import mindkit.mindtrain as mt
 from mindkit.cli import main
 from mindkit.data import SyntheticSpec
+from mindkit.errors import TrainingError
 from mindkit.mindtrain import MindConfig
 from mindkit.models import TrainConfig
 from mindkit.schemas import validate_artifact
@@ -250,6 +252,20 @@ class TestTransformPipeline:
         assert (tmp_path / "again" / "manifest.json").read_bytes() \
             == pipeline["manifest"].read_bytes()
 
+    def test_failed_restart_reason_printed(self, pipeline, tmp_path, capsys,
+                                           monkeypatch):
+        real = mt.train_transform
+        def fails_at_restart_one(model, tspec, dataset, config, *, restart=0):
+            if restart == 1:
+                raise TrainingError("synthetic failure")
+            return real(model, tspec, dataset, config, restart=restart)
+        monkeypatch.setattr(mt, "train_transform", fails_at_restart_one)
+        run_ok(["train-transform", "--data", str(pipeline["data"]),
+                "--model", str(pipeline["model"]), "--kind", "gating",
+                "--config", str(pipeline["mind_cfg"]), "--seed", "3",
+                "--out", str(tmp_path / "o")])
+        assert "failed [1: synthetic failure]" in capsys.readouterr().out
+
     def test_transform_checkpoint_validates(self, pipeline):
         doc = read(pipeline["root"] / "transform" / "transform.json")
         assert validate_artifact(doc) == "mindkit.transform/1"
@@ -321,8 +337,10 @@ WRONG_FOR = {
     "int | None": ["x", 1.5, True, [1]],
     "str": [3, 1.5, True, None, ["a"]],
     "bool": ["yes", 1, 0.0, None, [True]],
-    "list | None": ["x", 3, True, {"k": 1}],
-    "tuple": ["x", 3, True, {"k": 1}],
+    "list[float] | None": ["x", 3, True, {"k": 1}],
+    "tuple[int, ...]": ["x", 3, True, {"k": 1}],
+    "tuple[tuple[int, int], ...]": ["x", 3, True, {"k": 1}],
+    "tuple[float, float, float]": ["x", 3, True, {"k": 1}],
 }
 # list-valued SyntheticSpec fields: a valid value and bad element draws
 LIST_FIELDS = {
@@ -420,6 +438,41 @@ class TestTuneLambda:
         assert len(doc["trace"]) >= 1
         assert isinstance(doc["feasible"], bool)
         assert (tmp_path / "tune" / "transform.json").exists()
+
+    def test_failed_grid_point_is_traced(self, pipeline, tmp_path, capsys,
+                                         monkeypatch):
+        real = mt.train_transform
+        def fails_at_first_lambda(model, tspec, dataset, config, *, restart=0):
+            if config.lam == mt.LAMBDA_GRID_LO:
+                raise TrainingError("synthetic failure")
+            return real(model, tspec, dataset, config, restart=restart)
+        monkeypatch.setattr(mt, "train_transform", fails_at_first_lambda)
+        cfg = tmp_path / "mind.json"
+        cfg.write_text(json.dumps({"similarity": "inner_product",
+                                   "max_epochs": 4}))
+        run_ok(["tune-lambda", "--data", str(pipeline["data"]),
+                "--model", str(pipeline["model"]), "--config", str(cfg),
+                "--seed", "2", "--out", str(tmp_path / "tune")])
+        capsys.readouterr()
+        doc = read(tmp_path / "tune" / "tune.json")
+        assert validate_artifact(doc) == "mindkit.tune/1"
+        assert doc["trace"][0] == {
+            "lambda": mt.LAMBDA_GRID_LO, "w1": None, "cosine": None,
+            "val_loss": None, "feasible": False,
+            "error": "synthetic failure"}
+        assert len(doc["trace"]) >= 2
+        assert doc["lambda"] > mt.LAMBDA_GRID_LO
+
+    def test_threads_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        assert main(["tune-lambda", "--data", str(pipeline["data"]),
+                     "--model", str(pipeline["model"]), "--threads", "2",
+                     "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        doc = json.loads(lines[0])
+        assert validate_artifact(doc) == "mindkit.error/1"
+        assert doc["command"] == "tune-lambda"
+        assert "--threads" in doc["message"]
 
 
 class TestSanityCheck:

@@ -272,6 +272,16 @@ class TestTrainTransform:
         recomputed = mind_loss(m, t, Xva, cfg)
         np.testing.assert_allclose(recomputed, diag.val_loss, rtol=1e-9)
 
+    def test_records_lr_per_epoch(self):
+        ds = classifier_dataset(seed=2)
+        m = build_model("mlp", 3, output="probability", seed=1)
+        cfg = MindConfig(lam=0.5, max_epochs=20, patience=1, seed=2)
+        _, diag = train_transform(m, TransformSpec("gating"), ds, cfg)
+        assert len(diag.lr_curve) == len(diag.val_curve) == diag.epochs
+        assert diag.lr_curve[0] == cfg.lr
+        assert min(diag.lr_curve) < cfg.lr  # patience 1 halves the rate
+        assert all(b <= a for a, b in zip(diag.lr_curve, diag.lr_curve[1:]))
+
     def test_missing_validation_split_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
         ds = from_arrays(X, np.zeros(30), {"train": np.arange(30)})
@@ -380,6 +390,37 @@ class TestTuneLambda:
                           grid=[1.0, 1e-4, 1e-2])
         assert res.lam == 1e-4
 
+    def test_failed_grid_point_is_recorded_not_fatal(self, monkeypatch):
+        real = mt.train_transform
+        def fails_at_small_lambda(model, tspec, dataset, config, *,
+                                  restart=0):
+            if config.lam == 1e-4:
+                raise TrainingError("synthetic failure")
+            return real(model, tspec, dataset, config, restart=restart)
+        monkeypatch.setattr(mt, "train_transform", fails_at_small_lambda)
+        ds = classifier_dataset(seed=0)
+        m = build_model("mlp", 3, hidden=(8,), output="probability", seed=0)
+        m.params["w1"][:] = 0.0
+        m.params["b1"][:] = 0.0
+        res = tune_lambda(m, TransformSpec("gating"), ds,
+                          MindConfig(max_epochs=40, seed=5),
+                          grid=[1e-4, 1e-2, 1.0])
+        assert res.feasible and res.lam == 1e-2
+        assert res.trace[0] == {"lambda": 1e-4, "w1": None, "cosine": None,
+                                "val_loss": None, "feasible": False,
+                                "error": "synthetic failure"}
+        assert len(res.trace) == 2
+
+    def test_every_grid_point_failing_is_an_error(self, monkeypatch):
+        def always_fail(model, tspec, dataset, config, *, restart=0):
+            raise TrainingError("synthetic failure")
+        monkeypatch.setattr(mt, "train_transform", always_fail)
+        ds = classifier_dataset(seed=0)
+        m = build_model("mlp", 3, output="probability", seed=0)
+        with pytest.raises(TrainingError, match="every one of 2 lambda"):
+            tune_lambda(m, TransformSpec("gating"), ds, MindConfig(),
+                        grid=[1e-2, 1.0])
+
 
 class TestMultiRestart:
     def test_single_restart_degenerates_to_one_fit(self):
@@ -442,6 +483,7 @@ class TestMultiRestart:
         cfg = MindConfig(lam=0.2, restarts=3, top_k=2, max_epochs=5, seed=7)
         res = multi_restart(m, TransformSpec("gating"), ds, cfg)
         assert res.failed == [1]
+        assert res.failure_reasons == ["synthetic failure"]
         assert set(res.selected) <= {0, 2}
         assert len(res.diagnostics) == 2
 

@@ -1,7 +1,9 @@
-"""Adaptive-moment optimizer and plateau schedule behavior."""
+"""Adaptive-moment optimizer, plateau schedule, and the shared epoch loop."""
 import numpy as np
+import pytest
 
-from mindkit.optim import Adam, PlateauSchedule
+from mindkit.errors import TrainingError
+from mindkit.optim import Adam, PlateauSchedule, fit
 
 
 class TestAdam:
@@ -102,3 +104,57 @@ class TestPlateauSchedule:
         for _ in range(8):
             sched.update(1.0, opt)
         assert opt.lr == 0.8 / 2 ** 3
+
+
+class TestFit:
+    def _run(self, val_losses, n=5, batch_size=2, max_epochs=10, lr=0.1,
+             floor=1e-9, patience=10, batch_loss=1.0):
+        """Fit w under a unit gradient; val_loss replays `val_losses` and
+        records w and the rows each epoch visited."""
+        params = {"w": np.zeros(2)}
+        opt = Adam(params, lr=lr)
+        sched = PlateauSchedule(patience=patience, floor=floor)
+        seen, snapshots, replay = [], [], iter(val_losses)
+
+        def loss_and_grad(idx):
+            seen.extend(idx.tolist())
+            return batch_loss, {"w": np.ones(2)}
+
+        def val_loss():
+            snapshots.append((sorted(seen), params["w"].copy()))
+            seen.clear()
+            return next(replay)
+
+        history, reason = fit(params, loss_and_grad, val_loss, n, batch_size,
+                              max_epochs, np.random.default_rng(0), opt,
+                              sched, "toy fit")
+        return params, history, reason, snapshots
+
+    def test_restores_best_epoch_not_last(self):
+        params, history, reason, snaps = self._run([3.0, 1.0, 2.0, 4.0],
+                                                   max_epochs=4)
+        assert reason == "max_epochs"
+        assert history["val_loss"] == [3.0, 1.0, 2.0, 4.0]
+        assert history["train_loss"] == [1.0] * 4
+        # every epoch visits each of the 5 rows once, in batches of 2, 2, 1
+        assert all(rows == [0, 1, 2, 3, 4] for rows, _ in snaps)
+        np.testing.assert_array_equal(params["w"], snaps[1][1])
+        assert not np.array_equal(params["w"], snaps[-1][1])
+
+    def test_stops_at_lr_floor(self):
+        # epoch 0 improves on +inf; epochs 1 and 2 halve the rate, and the
+        # second halving (0.025) falls below the floor
+        _, history, reason, _ = self._run([1.0] * 10, patience=1,
+                                          floor=0.03)
+        assert reason == "lr_floor"
+        assert len(history["val_loss"]) == 3
+        assert history["lr"] == [0.1, 0.1, 0.05]
+
+    @pytest.mark.parametrize("batch_loss,vals,which", [
+        (float("nan"), [1.0], "training"),
+        (1.0, [1.0, float("inf")], "validation"),
+    ])
+    def test_nonfinite_loss_names_the_fit(self, batch_loss, vals, which):
+        with pytest.raises(TrainingError,
+                           match=f"non-finite {which} loss in toy fit"):
+            self._run(vals, batch_loss=batch_loss)

@@ -367,6 +367,17 @@ def _add_transform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="MindConfig JSON")
 
 
+def _threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expects a positive int, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise, so main() reports them like any other failure;
     subcommand parsers inherit this class."""
@@ -407,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit an invariance transform to a frozen model")
     _add_data_args(p)
     _add_transform_args(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel restart workers")
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="worker processes for restart chunks")
     p.add_argument("--lam", type=float, default=None,
                    help="override the config's penalty weight")
     p.add_argument("--seed", type=int, default=None)
@@ -448,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "report")
     _add_data_args(p)
     _add_transform_args(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel restart workers")
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="worker processes for restart chunks")
     p.add_argument("--report", required=True,
                    help="reference report/manifest JSON")
     p.add_argument("--shuffles", type=int, default=5)

@@ -11,7 +11,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 from .errors import GraphError
 
@@ -43,9 +42,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
+    # one axis at a time, so that a stacked gradient such as (R, B, d, T)
+    # -> (R, 1, d, 1) adds up in the order of the unstacked (B, d, T) -> (d, 1)
+    for i, s in enumerate(shape):
+        if s == 1 and g.shape[i] != 1:
+            g = g.sum(axis=i, keepdims=True)
     return g
 
 
@@ -202,6 +203,7 @@ class _Gelu:
     saves = True
 
     def forward(self, x):
+        from scipy.special import erf  # only sequence models use GeLU
         cdf = erf(x / _SQRT2)
         cdf += 1.0
         cdf *= 0.5
@@ -261,6 +263,14 @@ class _Normalize:
         return (out,)
 
 
+def _spread(g: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
+    """A gradient reduced over `axis`, copied back out over `shape` (a
+    plain copy costs a fraction of np.broadcast_to at these sizes)."""
+    out = np.empty(shape)
+    np.copyto(out, g.reshape(shape[:axis] + (1,) + shape[axis + 1:]))
+    return out
+
+
 class _Mean:
     def __init__(self, axis):
         self.axis = axis
@@ -274,8 +284,7 @@ class _Mean:
         x = xs[0]
         if self.axis is None:
             return (np.full(x.shape, g / x.size),)
-        scaled = np.expand_dims(g, self.axis) / x.shape[self.axis]
-        return (np.broadcast_to(scaled, x.shape),)
+        return (_spread(g / x.shape[self.axis], x.shape, self.axis),)
 
 
 class _Sum:
@@ -291,7 +300,7 @@ class _Sum:
         x = xs[0]
         if self.axis is None:
             return (np.full(x.shape, g),)
-        return (np.broadcast_to(np.expand_dims(g, self.axis), x.shape),)
+        return (_spread(g, x.shape, self.axis),)
 
 
 class _Abs:
@@ -412,6 +421,38 @@ class _BceLogits:
         if needs[1]:
             dt = g * (-z)
         return dz, dt
+
+
+class _Rows:
+    """Leading-axis slice x[start:stop]."""
+
+    def __init__(self, start: int, stop: int):
+        self.start, self.stop = start, stop
+
+    def forward(self, x):
+        return x[self.start:self.stop]
+
+    def vjp(self, g, y, xs, needs, saved):
+        if not needs[0]:
+            return (None,)
+        out = np.zeros(xs[0].shape)
+        out[self.start:self.stop] = g
+        return (out,)
+
+
+class _Concat:
+    """Concatenation along the leading axis."""
+
+    def forward(self, *xs):
+        return np.concatenate(xs)
+
+    def vjp(self, g, y, xs, needs, saved):
+        parts, start = [], 0
+        for x, need in zip(xs, needs):
+            stop = start + x.shape[0]
+            parts.append(g[start:stop] if need else None)
+            start = stop
+        return tuple(parts)
 
 
 class _Reshape:
@@ -588,6 +629,29 @@ def reshape(x: Node, shape: Iterable[int]) -> Node:
     return Node(_Reshape(shape), (x,), shape)
 
 
+def rows(x: Node, start: int, stop: int) -> Node:
+    """Leading-axis slice x[start:stop]; the whole axis is x itself."""
+    if len(x.shape) < 1 or not 0 <= start < stop <= x.shape[0]:
+        raise GraphError(f"rows [{start}:{stop}] out of range for {x.shape}")
+    if start == 0 and stop == x.shape[0]:
+        return x
+    return Node(_Rows(int(start), int(stop)), (x,),
+                (stop - start,) + x.shape[1:])
+
+
+def concat(parts: Iterable[Node]) -> Node:
+    """Join nodes along the leading axis; a single part is returned as is."""
+    parts = tuple(parts)
+    if not parts or any(len(p.shape) < 1 or p.shape[1:] != parts[0].shape[1:]
+                        for p in parts):
+        raise GraphError("concat expects nodes that differ only in the "
+                         "leading axis")
+    if len(parts) == 1:
+        return parts[0]
+    return Node(_Concat(), parts,
+                (sum(p.shape[0] for p in parts),) + parts[0].shape[1:])
+
+
 # ---------------------------------------------------------------------------
 # graph: freezing, evaluation, reverse sweep
 # ---------------------------------------------------------------------------
@@ -671,10 +735,20 @@ class Graph:
         return needed
 
     def value_and_grad(self, bindings: Mapping[str, np.ndarray],
-                       wrt: Iterable[str]):
-        """Forward value plus d(output)/d(leaf) for each requested leaf."""
-        if self.output.shape != ():
-            raise GraphError("gradient requires a scalar-valued output")
+                       wrt: Iterable[str], seed=None):
+        """Forward value plus d(output)/d(leaf) for each requested leaf.
+
+        With `seed`, an array of the output's shape, the gradients are
+        those of sum(seed * output): ones give the gradient of the sum of
+        a vector of losses, such as one loss per stacked restart.
+        """
+        if seed is None:
+            if self.output.shape != ():
+                raise GraphError("gradient requires a scalar-valued output")
+            seed = np.asarray(1.0)
+        elif np.shape(seed) != self.output.shape:
+            raise GraphError(f"seed shape {np.shape(seed)} differs from the "
+                             f"output shape {self.output.shape}")
         wrt = frozenset(wrt)
         for name in wrt:
             if name not in bindings and name not in self.leaves:
@@ -682,7 +756,7 @@ class Graph:
         vals, saved = self._forward(bindings)
         needed = self._needed(wrt)
         grads: list = [None] * len(self.nodes)
-        grads[-1] = np.asarray(1.0)
+        grads[-1] = np.asarray(seed, dtype=np.float64)
         for i in range(len(self.nodes) - 1, -1, -1):
             node, g = self.nodes[i], grads[i]
             if g is None or node.op is None:

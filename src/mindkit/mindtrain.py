@@ -16,6 +16,8 @@ Model parameters are frozen throughout; only the transform learns.
 """
 from __future__ import annotations
 
+import functools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -27,7 +29,7 @@ from . import transforms as tf
 from .data import Dataset, substream
 from .errors import GraphError, TrainingError
 from .models import Model, OUTPUT_KINDS, forward_graph, param_nodes, predict
-from .optim import Adam, PlateauSchedule, fit
+from .optim import Adam, PlateauSchedule, Run, fit_stack
 
 SIMILARITIES = ("cosine", "inner_product", "l1_gate_weights")
 DISTANCES = ("w1", "squared")
@@ -98,57 +100,85 @@ def w1_reduced(model: Model, X: np.ndarray, Xp: np.ndarray):
 
 
 class _Problem:
-    """The loss graph for one transform, cached per batch size."""
+    """The loss graph of R restarts of one transform family fitted as one
+    stacked problem, cached per batch size.
 
-    def __init__(self, model: Model, transform, config: MindConfig):
+    `params` holds the R restarts' parameters, each with a leading restart
+    axis. The input stacks the R batches of B rows; the frozen model runs
+    once over all R * B rows; the output is the vector of the R restarts'
+    own losses, each a mean over its own rows, so that the gradient of
+    their sum keeps the restarts apart.
+    """
+
+    def __init__(self, model: Model, transform, config: MindConfig,
+                 params: dict[str, np.ndarray]):
         self.model = model
         self.transform = transform
         self.config = config
+        self.params = params
+        self.restarts = len(next(iter(params.values())))
         if config.similarity == "l1_gate_weights" and transform.gate_key is None:
             raise TrainingError(
                 "l1_gate_weights similarity needs a gated transform family")
         self._graphs: dict[int, dc.Graph] = {}
+        self._seed = np.ones(self.restarts)
 
     def _build(self, B: int) -> dc.Graph:
         cfg = self.config
         t = self.transform
+        R = self.restarts
         d, T = self.model.input_dim, self.model.seq_len
-        x = dc.leaf("x", (B, d) if T is None else (B, d, T))
-        nodes = {k: dc.leaf(k, v.shape) for k, v in t.params.items()}
-        xp = t.graph(x, nodes)
-        f = forward_graph(self.model, xp, param_nodes(self.model, trainable=False))
-        fc = dc.leaf("fc", (B,))
+        x = dc.leaf("x", (R * B, d) if T is None else (R * B, d, T))
+        nodes = {k: dc.leaf(k, v.shape) for k, v in self.params.items()}
+        xp = t.graph(x, nodes, R)
+        f = forward_graph(self.model, xp,
+                          param_nodes(self.model, trainable=False))
+        fc = dc.leaf("fc", (R * B,))
         diff = dc.sub(f, fc)
         dist_vec = dc.abs_(diff) if cfg.distance == "w1" else dc.mul(diff, diff)
-        dist = dc.mean(dist_vec)
+        dist = _restart_means(dist_vec, R)
         if cfg.similarity == "cosine":
             sims = dc.cosine_rows(xp, x)
             if cfg.clip_similarity_at_zero:
                 sims = dc.relu(sims)
-            sim = dc.mean(sims)
+            sim = _restart_means(sims, R)
         elif cfg.similarity == "inner_product":
-            sim = dc.mean(dc.dot_rows(xp, x))
+            sim = _restart_means(dc.dot_rows(xp, x), R)
         else:
-            sim = dc.sum_(dc.abs_(nodes[t.gate_key]))
+            gates = nodes[t.gate_key]
+            per_restart = int(np.prod(gates.shape[1:]))
+            sim = dc.sum_(dc.reshape(dc.abs_(gates), (R, per_restart)), axis=1)
         loss = dist if cfg.lam == 0 else dc.add(dist, dc.scale(sim, cfg.lam))
         return dc.Graph(loss)
 
-    def _graph_for(self, B: int) -> dc.Graph:
+    def graph_for(self, B: int) -> dc.Graph:
         if B not in self._graphs:
             self._graphs[B] = self._build(B)
         return self._graphs[B]
 
     def bindings(self, X: np.ndarray, fc: np.ndarray, extra: dict) -> dict:
-        return {**self.transform.params, "x": X, "fc": fc, **extra}
+        return {**self.params, "x": X, "fc": fc, **extra}
 
     def value_and_grad(self, X, fc, extra):
-        g = self._graph_for(len(X))
+        """The R restarts' losses on X, which stacks their batches, and the
+        gradients of their sum."""
+        g = self.graph_for(len(X) // self.restarts)
         return g.value_and_grad(self.bindings(X, fc, extra),
-                                wrt=list(self.transform.params))
+                                wrt=list(self.params), seed=self._seed)
 
-    def loss(self, X, fc, extra) -> float:
-        g = self._graph_for(len(X))
-        return float(g.evaluate(self.bindings(X, fc, extra)))
+    def loss(self, X, fc, extra) -> np.ndarray:
+        g = self.graph_for(len(X) // self.restarts)
+        return g.evaluate(self.bindings(X, fc, extra))
+
+
+def _restart_means(per_row: dc.Node, R: int) -> dc.Node:
+    """(R * B,) row values -> the (R,) means over each restart's rows."""
+    return dc.mean(dc.reshape(per_row, (R, per_row.shape[0] // R)), axis=1)
+
+
+def _unstacked(transform) -> dict[str, np.ndarray]:
+    """A transform's parameters as a stack of one restart (views)."""
+    return {k: v[None] for k, v in transform.params.items()}
 
 
 def mind_loss(model: Model, transform, X: np.ndarray,
@@ -157,70 +187,150 @@ def mind_loss(model: Model, transform, X: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == (1 if model.seq_len is None else 2):
         X = X[None]
-    problem = _Problem(model, transform, config)
+    problem = _Problem(model, transform, config, _unstacked(transform))
     fc = np.atleast_1d(predict(model, X))
-    return problem.loss(X, fc, transform.extra(X))
+    return float(problem.loss(X, fc, transform.extra(X))[0])
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
+# Restarts fitted together hold at most this many float64 node values in
+# their stacked training graph (512 KiB), estimated as R times the
+# one-restart graph. Stacking pays while a step is dominated by per-node
+# dispatch; it stops paying once the arrays are large. On a 2-vCPU VM
+# with one BLAS thread, an 8-restart MLP gating fit ran 1.7x faster in
+# chunks of 4, while 4 stacked seqconv gating restarts took 1.35-1.49 ms
+# per restart-step against 1.34-1.37 ms alone, and 2.4 MB more peak
+# memory. Measured one-restart graphs and the chunks they give:
+#
+#   graph                                  B    values   8 restarts  3
+#   MLP gating (d=14, hidden 16)         100    13,117   4+4         3
+#   seqconv gating (d=6, T=12, hidden 8)  90    62,285   1 each      1 each
+#   seqconv basis gating (chebyshev)      90    75,305   1 each      1 each
+#   seqconv residual                      90   202,709   1 each      1 each
+CHUNK_VALUES = 2 ** 16
+
+
+def restart_chunks(restarts: int, values_per_restart: int) -> list[list[int]]:
+    """Restart indices in consecutive chunks of near-equal size, as few
+    chunks as CHUNK_VALUES allows for graphs of `values_per_restart`."""
+    cap = max(1, CHUNK_VALUES // max(1, values_per_restart))
+    n_chunks = -(-restarts // cap)
+    size, extra = divmod(restarts, n_chunks)
+    chunks, start = [], 0
+    for c in range(n_chunks):
+        stop = start + size + (c < extra)
+        chunks.append(list(range(start, stop)))
+        start = stop
+    return chunks
+
+
+def _batch_size(config: MindConfig, n_train: int) -> int:
+    return config.batch_size or min(100, max(1, n_train // 4))
+
+
+def _init_restart(tspec: tf.TransformSpec, dataset: Dataset,
+                  config: MindConfig, restart: int):
+    """Restart `restart`'s initial transform and its share of the fit, each
+    from the restart's own seeded substream."""
+    rng = substream(config.seed, f"mind.init.restart{restart}")
+    transform = tf.init_transform(tspec, dataset.d, dataset.seq_len, rng)
+    run = Run(f"transform restart {restart}",
+              substream(config.seed, f"mind.shuffle.restart{restart}"),
+              PlateauSchedule(config.patience, config.min_delta,
+                              config.lr_floor), config.lr)
+    return transform, run
+
+
+def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
+                  config: MindConfig, restarts: list[int]) -> list[tuple]:
+    """Fit the listed restarts as one stacked problem.
+
+    Returns (restart, transform, MindDiagnostics, None) for each restart
+    that succeeded and (restart, None, None, error message) for each that
+    failed, in the order given. A restart fails alone when its loss turns
+    non-finite; the others go on. Each returned transform holds the
+    parameters of its restart's epoch with the lowest validation
+    objective, its gates clamped to [0, 1] after every step along the way.
+    """
+    Xtr, _ = dataset.split("train")
+    Xva, _ = dataset.split("validation")
+    R = len(restarts)
+    transforms, runs = zip(*(_init_restart(tspec, dataset, config, r)
+                             for r in restarts))
+    template = transforms[0]
+    params = {k: np.stack([t.params[k] for t in transforms])
+              for k in template.params}
+    problem = _Problem(model, template, config, params)
+
+    fc_tr = np.atleast_1d(predict(model, Xtr))
+    fc_va = np.atleast_1d(predict(model, Xva))
+    extra_tr = template.extra(Xtr)
+    # every restart is validated on the whole validation split
+    val_binds = (np.concatenate([Xva] * R), np.concatenate([fc_va] * R),
+                 {k: np.concatenate([v] * R)
+                  for k, v in template.extra(Xva).items()})
+    opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay,
+               decay_keys=template.decay_keys())
+    gate_key = template.gate_key
+    gate_min, gate_max = np.full(R, np.inf), np.full(R, -np.inf)
+
+    def loss_and_grad(idx):
+        rows = idx.ravel()
+        batch = {k: v[rows] for k, v in extra_tr.items()}
+        return problem.value_and_grad(Xtr[rows], fc_tr[rows], batch)
+
+    def after_step():
+        # a finished restart's gates were clamped when it was last stepped,
+        # so clamping and tracking them again changes nothing
+        gates = params[gate_key]
+        np.copyto(gates, tf.clip01(gates))
+        per_restart = gates.reshape(R, -1)
+        np.minimum(gate_min, per_restart.min(axis=1), out=gate_min)
+        np.maximum(gate_max, per_restart.max(axis=1), out=gate_max)
+
+    fit_stack(params, loss_and_grad, lambda: problem.loss(*val_binds),
+              len(Xtr), _batch_size(config, len(Xtr)), config.max_epochs,
+              list(runs), opt, after_step if gate_key is not None else None)
+
+    seq = dataset.seq_len is not None
+    outcomes = []
+    for i, (r, transform, run) in enumerate(zip(restarts, transforms, runs)):
+        if run.error is not None:
+            outcomes.append((r, None, None, run.error))
+            continue
+        for k, v in transform.params.items():
+            np.copyto(v, params[k][i])
+        Xp_va = tf.apply_transform(transform, Xva, seq=seq)
+        history = run.history
+        diag = MindDiagnostics(
+            restart=r, epochs=len(history["val_loss"]),
+            train_curve=history["train_loss"],
+            val_curve=history["val_loss"], lr_curve=history["lr"],
+            val_loss=min(history["val_loss"]),
+            w1_mean=float(np.mean(w1_reduced(model, Xva, Xp_va))),
+            cosine_mean=float(np.mean(dc.row_cosines(Xva, Xp_va))),
+            gate_min=float(gate_min[i]) if gate_key else float("nan"),
+            gate_max=float(gate_max[i]) if gate_key else float("nan"),
+            stop_reason=run.stop_reason)
+        outcomes.append((r, transform, diag, None))
+    return outcomes
+
 
 def train_transform(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
                     config: MindConfig, *, restart: int = 0):
-    """One seeded fit; returns (transform, MindDiagnostics).
+    """One seeded fit, the one-restart case of `multi_restart`'s stacked
+    fit; returns (transform, MindDiagnostics) or raises TrainingError.
 
     The transform whose validation objective was lowest across epochs is
     returned, with gates clamped to [0, 1] after every step along the way.
     """
-    Xtr, _ = dataset.split("train")
-    Xva, _ = dataset.split("validation")
-    rng = substream(config.seed, f"mind.init.restart{restart}")
-    shuffle_rng = substream(config.seed, f"mind.shuffle.restart{restart}")
-    transform = tf.init_transform(tspec, dataset.d, dataset.seq_len, rng)
-
-    fc_tr = np.atleast_1d(predict(model, Xtr))
-    fc_va = np.atleast_1d(predict(model, Xva))
-    extra_tr, extra_va = transform.extra(Xtr), transform.extra(Xva)
-
-    problem = _Problem(model, transform, config)
-    params = transform.params
-    opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay,
-               decay_keys=transform.decay_keys())
-    sched = PlateauSchedule(config.patience, config.min_delta, config.lr_floor)
-    bs = config.batch_size or min(100, max(1, len(Xtr) // 4))
-    gate_key = transform.gate_key
-    gate_min, gate_max = np.inf, -np.inf
-
-    def loss_and_grad(idx):
-        batch = {k: v[idx] for k, v in extra_tr.items()}
-        return problem.value_and_grad(Xtr[idx], fc_tr[idx], batch)
-
-    def after_step():
-        nonlocal gate_min, gate_max
-        tf.clamp_gates(transform)
-        if gate_key is not None:
-            gates = params[gate_key]
-            gate_min = min(gate_min, float(gates.min()))
-            gate_max = max(gate_max, float(gates.max()))
-
-    history, stop_reason = fit(
-        params, loss_and_grad, lambda: problem.loss(Xva, fc_va, extra_va),
-        len(Xtr), bs, config.max_epochs, shuffle_rng, opt, sched,
-        f"transform restart {restart}", after_step)
-
-    Xp_va = tf.apply_transform(transform, Xva, seq=dataset.seq_len is not None)
-    w1_mean = float(np.mean(w1_reduced(model, Xva, Xp_va)))
-    cos_mean = float(np.mean(dc.row_cosines(Xva, Xp_va)))
-    diag = MindDiagnostics(
-        restart=restart, epochs=len(history["val_loss"]),
-        train_curve=history["train_loss"], val_curve=history["val_loss"],
-        lr_curve=history["lr"], val_loss=min(history["val_loss"]),
-        w1_mean=w1_mean, cosine_mean=cos_mean,
-        gate_min=gate_min if gate_key else float("nan"),
-        gate_max=gate_max if gate_key else float("nan"),
-        stop_reason=stop_reason)
+    [(_, transform, diag, error)] = _fit_restarts(model, tspec, dataset,
+                                                  config, [restart])
+    if error is not None:
+        raise TrainingError(error)
     return transform, diag
 
 
@@ -323,30 +433,42 @@ class MindResult:
         return per_run.std(axis=0)
 
 
-def _run_restart(args):
-    model, tspec, dataset, config, r = args
-    try:
-        transform, diag = train_transform(model, tspec, dataset, config,
-                                          restart=r)
-        return r, transform, diag, None
-    except TrainingError as exc:
-        return r, None, None, str(exc)
+def _values_per_restart(model: Model, tspec: tf.TransformSpec,
+                        dataset: Dataset, config: MindConfig) -> int:
+    """Node values of the one-restart training graph at the fit's batch
+    size; the initial parameter values do not matter, only their shapes."""
+    t = tf.init_transform(tspec, dataset.d, dataset.seq_len,
+                          np.random.default_rng(0))
+    n_train = len(dataset.split("train")[0])
+    problem = _Problem(model, t, config, _unstacked(t))
+    graph = problem.graph_for(_batch_size(config, n_train))
+    return sum(math.prod(node.shape) for node in graph.nodes)
 
 
 def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
                   config: MindConfig, threads: int = 1) -> MindResult:
     """R independently seeded fits; aggregate the top_k by validation loss.
 
-    Scores are the gates for gated families and the per-feature correlation
-    profile for the residual family. Mean and std use the selected runs
-    (population std, so a single selected run reports zero spread).
+    The restarts are fitted in chunks (`restart_chunks`), each chunk as one
+    stacked problem; with `threads` > 1 a process pool of up to that many
+    workers fits the chunks side by side. Scores are the gates for gated
+    families and the per-feature correlation profile for the residual
+    family. Mean and std use the selected runs (population std, so a single
+    selected run reports zero spread).
     """
-    jobs = [(model, tspec, dataset, config, r) for r in range(config.restarts)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_restart, jobs))
+    if threads < 1:
+        raise TrainingError(f"threads must be at least 1, got {threads}")
+    chunks = restart_chunks(config.restarts, _values_per_restart(
+        model, tspec, dataset, config))
+    fit_chunk = functools.partial(_fit_restarts, model, tspec, dataset,
+                                  config)
+    workers = min(threads, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(fit_chunk, chunks))
     else:
-        outcomes = [_run_restart(j) for j in jobs]
+        parts = [fit_chunk(chunk) for chunk in chunks]
+    outcomes = [o for part in parts for o in part]
 
     runs = [(r, t, d) for r, t, d, _ in outcomes if t is not None]
     failures = [(r, err) for r, t, _, err in outcomes if t is None]

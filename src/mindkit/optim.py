@@ -2,6 +2,8 @@
 epoch loop that model and transform fits share."""
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import TrainingError
@@ -11,7 +13,8 @@ class Adam:
     """Per-parameter first/second-moment updates over a dict of arrays.
 
     `decay_keys` restricts L2 weight decay to the named parameters; every
-    other parameter is updated without decay.
+    other parameter is updated without decay. `lr` is one rate, or an array
+    of rates along every parameter's leading axis (one per stacked restart).
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
@@ -31,6 +34,7 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
+        lr = self.lr
         for key, p in self.params.items():
             g = grads[key]
             if self.weight_decay and key in self.decay_keys:
@@ -41,7 +45,9 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            rate = lr.reshape(lr.shape + (1,) * (p.ndim - 1)) \
+                if isinstance(lr, np.ndarray) else lr
+            p -= rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
 class PlateauSchedule:
@@ -74,52 +80,143 @@ class PlateauSchedule:
         return opt.lr >= self.floor
 
 
+@dataclass
+class Run:
+    """One fit's share of a stacked fit: its shuffle stream, schedule and
+    learning rate, and what became of it.
+
+    `what` names the fit in error messages. Once `stop_reason` ("max_epochs"
+    or "lr_floor") or `error` is set the run is finished: its parameters
+    hold its best-validation values (or, after an error, the values of the
+    step that failed) and no longer change.
+    """
+
+    what: str
+    rng: np.random.Generator
+    sched: PlateauSchedule
+    lr: float
+    history: dict = field(default_factory=lambda: {
+        "train_loss": [], "val_loss": [], "lr": []})
+    stop_reason: str | None = None
+    error: str | None = None
+    best_loss: float = np.inf
+    best: dict = field(default_factory=dict)
+
+    @property
+    def active(self) -> bool:
+        return self.stop_reason is None and self.error is None
+
+
+def fit_stack(params: dict[str, np.ndarray], loss_and_grad, val_loss,
+              n: int, batch_size: int, max_epochs: int, runs: list[Run],
+              opt: Adam, after_step=None) -> None:
+    """Minibatch epochs of R = len(runs) fits stacked into one problem.
+
+    Every array in `params` has a leading axis of length R, slot i holding
+    run i's parameters. Each epoch every run visits the `n` training rows
+    in a fresh permutation from its own stream, `batch_size` at a time:
+    `loss_and_grad(idx)` takes the (R, b) row indices and gives the R batch
+    losses and the gradients of their sum, `opt` steps with per-run rates,
+    and `after_step()` runs if given. `val_loss()` gives the R validation
+    losses after every epoch; they feed each run's schedule.
+
+    A run whose training or validation loss is not finite gets `error`;
+    one whose rate falls below its schedule's floor stops. Either way, as
+    for a run that comes in with `error` already set, its gradients are
+    dropped and its rate is 0 from then on, while the other runs go on;
+    the loop ends when no run is left. A run that did not fail ends with
+    its parameters, in place, at the epoch of its lowest validation loss,
+    and its `history` holds the per-epoch "train_loss", "val_loss" and
+    "lr".
+    """
+    R = len(runs)
+
+    def finish(i: int, reason: str) -> None:
+        runs[i].stop_reason = reason
+        for k, v in runs[i].best.items():
+            np.copyto(params[k][i], v)
+
+    def refresh() -> list[bool]:
+        # one rate for a single run, so that its arithmetic is that of an
+        # unstacked fit; else one per run, 0 keeping a finished run put
+        opt.lr = runs[0].lr if R == 1 else np.array(
+            [run.lr if run.active else 0.0 for run in runs])
+        return [run.active for run in runs]
+
+    live = refresh()
+    for epoch in range(max_epochs):
+        if not any(live):
+            return
+        order = np.stack([run.rng.permutation(n) for run in runs])
+        totals = [0.0] * R
+        for start in range(0, n, batch_size):
+            idx = order[:, start:start + batch_size]
+            losses, grads = loss_and_grad(idx)
+            failed = False
+            for i, run in enumerate(runs):
+                if live[i] and not np.isfinite(losses[i]):
+                    run.error = (
+                        f"non-finite training loss in {run.what} at epoch "
+                        f"{epoch} (lr={run.lr:g}); inspect data scaling or "
+                        "lower lr")
+                    failed = True
+            if failed:
+                live = refresh()
+                if not any(live):
+                    return
+            if not all(live):
+                keep = np.array(live)
+                grads = {k: np.where(keep.reshape((R,) + (1,) * (g.ndim - 1)),
+                                     g, 0.0) for k, g in grads.items()}
+            opt.step(grads)
+            if after_step is not None:
+                after_step()
+            for i in range(R):
+                if live[i]:
+                    totals[i] += float(losses[i]) * idx.shape[1]
+        vals = val_loss()
+        for i, run in enumerate(runs):
+            if not live[i]:
+                continue
+            val = float(vals[i])
+            if not np.isfinite(val):
+                run.error = (f"non-finite validation loss in {run.what} at "
+                             f"epoch {epoch}")
+                continue
+            run.history["train_loss"].append(totals[i] / n)
+            run.history["val_loss"].append(val)
+            run.history["lr"].append(run.lr)
+            if val < run.best_loss:
+                run.best_loss = val
+                run.best = {k: v[i].copy() for k, v in params.items()}
+            if not run.sched.update(val, run):
+                finish(i, "lr_floor")
+        live = refresh()
+    for i, run in enumerate(runs):
+        if run.active:
+            finish(i, "max_epochs")
+
+
 def fit(params: dict[str, np.ndarray], loss_and_grad, val_loss, n: int,
         batch_size: int, max_epochs: int, rng: np.random.Generator,
         opt: Adam, sched: PlateauSchedule, what: str,
         after_step=None) -> tuple[dict, str]:
-    """Minibatch epochs over `n` training rows; returns (history, stop reason).
+    """One fit, as a stack of one; returns (history, stop reason).
 
-    Each epoch visits the rows in a fresh `rng` permutation, `batch_size` at
-    a time: `loss_and_grad(idx)` gives the batch loss and the gradients of
-    `params`, `opt` steps, and `after_step()` runs if given. `val_loss()` is
-    read after every epoch and feeds `sched`. A non-finite loss raises
-    TrainingError naming `what`. On return `params` hold, in place, the
-    values of the epoch with the lowest validation loss. The history has
-    per-epoch "train_loss", "val_loss" and "lr"; the stop reason is
-    "max_epochs" or "lr_floor".
+    `loss_and_grad(idx)` takes the batch's row indices and gives its loss
+    and the gradients of `params`; `val_loss()` gives one loss. A
+    non-finite loss raises TrainingError naming `what`. Otherwise as
+    `fit_stack`: on return `params` hold the best-validation values.
     """
-    history = {"train_loss": [], "val_loss": [], "lr": []}
-    best_loss, best_params = np.inf, {}
-    stop_reason = "max_epochs"
-    for epoch in range(max_epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss, grads = loss_and_grad(idx)
-            loss = float(loss)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite training loss in {what} at epoch {epoch} "
-                    f"(lr={opt.lr:g}); inspect data scaling or lower lr")
-            opt.step(grads)
-            if after_step is not None:
-                after_step()
-            total += loss * len(idx)
-        val = float(val_loss())
-        if not np.isfinite(val):
-            raise TrainingError(
-                f"non-finite validation loss in {what} at epoch {epoch}")
-        history["train_loss"].append(total / n)
-        history["val_loss"].append(val)
-        history["lr"].append(opt.lr)
-        if val < best_loss:
-            best_loss = val
-            best_params = {k: v.copy() for k, v in params.items()}
-        if not sched.update(val, opt):
-            stop_reason = "lr_floor"
-            break
-    for k, v in best_params.items():
-        np.copyto(params[k], v)
-    return history, stop_reason
+    run = Run(what, rng, sched, opt.lr)
+
+    def stacked_loss_and_grad(idx):
+        loss, grads = loss_and_grad(idx[0])
+        return [loss], grads
+
+    fit_stack({k: v[None] for k, v in params.items()}, stacked_loss_and_grad,
+              lambda: [val_loss()], n, batch_size, max_epochs, [run], opt,
+              after_step)
+    if run.error is not None:
+        raise TrainingError(run.error)
+    return run.history, run.stop_reason

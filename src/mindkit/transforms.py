@@ -193,6 +193,11 @@ def _array(values) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def _slot(p: dc.Node, r: int) -> dc.Node:
+    """Restart r's parameter from a node with a leading restart axis."""
+    return dc.reshape(dc.rows(p, r, r + 1), p.shape[1:])
+
+
 class Transform:
     """What the fitting loop asks of a family; it never asks which one.
 
@@ -206,6 +211,18 @@ class Transform:
 
     gate_key: str | None = None
     seq_only = True
+
+    def graph(self, x: dc.Node, p: dict[str, dc.Node],
+              restarts: int | None = None) -> dc.Node:
+        """x' for the batch x under parameters p.
+
+        With `restarts` R, x stacks R batches of equal size, restart r's
+        rows in block r, and every node in p has a leading axis of length R
+        whose slot r is restart r's parameter; x' stacks the same way.
+        """
+        if restarts is None:
+            p = {k: dc.reshape(v, (1,) + v.shape) for k, v in p.items()}
+        return self._stacked(x, p, restarts or 1)
 
     def extra(self, X: np.ndarray) -> dict[str, np.ndarray]:
         return {}
@@ -235,13 +252,15 @@ class GatingTransform(Transform):
     def params(self) -> dict[str, np.ndarray]:
         return {"g": self.g, "b": self.b} if self.intercept else {"g": self.g}
 
-    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
-        g, b = p["g"], p.get("b")
-        if len(x.shape) == 3:  # (B, d, T): one gate per feature, all times
-            g = dc.reshape(g, (self.d, 1))
-            b = None if b is None else dc.reshape(b, (self.d, 1))
-        out = dc.mul(x, g)
-        return out if b is None else dc.add(out, b)
+    def _stacked(self, x: dc.Node, p: dict[str, dc.Node], R: int) -> dc.Node:
+        # gates (R, 1, d) against rows (R, B, d); a sequence's gate, shaped
+        # (R, 1, d, 1), covers all its times
+        lead = (R, 1, self.d) + (1,) * (len(x.shape) - 2)
+        out = dc.mul(dc.reshape(x, (R, x.shape[0] // R) + x.shape[1:]),
+                     dc.reshape(p["g"], lead))
+        if "b" in p:
+            out = dc.add(out, dc.reshape(p["b"], lead))
+        return dc.reshape(out, x.shape)
 
     @classmethod
     def init(cls, spec, d, seq_len, rng):
@@ -272,17 +291,23 @@ class ResidualTransform(Transform):
     kernel: int = RESIDUAL_KERNEL
     kind, score_kind = "residual", "correlation"
 
-    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
+    def _stacked(self, x: dc.Node, p: dict[str, dc.Node], R: int) -> dc.Node:
+        # each restart's convs run on its own rows with its own weights
         pad = (self.kernel - 1) // 2
-        h = x
-        for i in range(self.blocks):
-            inner = dc.conv1d(h, p[f"block{i}_conv1_w"], padding=pad)
-            inner = dc.relu(dc.normalize(inner))
-            inner = dc.conv1d(inner, p[f"block{i}_conv2_w"], padding=pad)
-            inner = dc.add(inner, dc.reshape(p[f"block{i}_conv2_b"],
-                                             (self.d, 1)))
-            h = dc.add(h, inner)
-        return h
+        B = x.shape[0] // R
+        outs = []
+        for r in range(R):
+            w = {k: _slot(v, r) for k, v in p.items()}
+            h = dc.rows(x, r * B, (r + 1) * B)
+            for i in range(self.blocks):
+                inner = dc.conv1d(h, w[f"block{i}_conv1_w"], padding=pad)
+                inner = dc.relu(dc.normalize(inner))
+                inner = dc.conv1d(inner, w[f"block{i}_conv2_w"], padding=pad)
+                inner = dc.add(inner, dc.reshape(w[f"block{i}_conv2_b"],
+                                                 (self.d, 1)))
+                h = dc.add(h, inner)
+            outs.append(h)
+        return dc.concat(outs)
 
     @classmethod
     def init(cls, spec, d, seq_len, rng):
@@ -341,13 +366,21 @@ class BasisGatingTransform(Transform):
     def extra(self, X: np.ndarray) -> dict[str, np.ndarray]:
         return {"z": gating_channels(self.basis, X)}
 
-    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
-        """Gate the channel stack z with a grouped kernel-1 convolution."""
+    def _stacked(self, x: dc.Node, p: dict[str, dc.Node], R: int) -> dc.Node:
+        """Gate the channel stack z with a grouped kernel-1 convolution,
+        one per restart."""
         d, C = self.d, self.basis.n_channels
+        B = x.shape[0] // R
         z = dc.leaf("z", (x.shape[0], d * C, x.shape[2]))
-        out = dc.conv1d(z, dc.reshape(p["gates"], (d, C, 1)), groups=d)
-        b = p.get("b")
-        return out if b is None else dc.add(out, dc.reshape(b, (d, 1)))
+        outs = []
+        for r in range(R):
+            out = dc.conv1d(dc.rows(z, r * B, (r + 1) * B),
+                            dc.reshape(_slot(p["gates"], r), (d, C, 1)),
+                            groups=d)
+            if "b" in p:
+                out = dc.add(out, dc.reshape(_slot(p["b"], r), (d, 1)))
+            outs.append(out)
+        return dc.concat(outs)
 
     @classmethod
     def init(cls, spec, d, seq_len, rng):

@@ -173,6 +173,34 @@ class TestOracle:
         assert validate_artifact(json.loads(lines[0])) == "mindkit.error/1"
 
 
+def test_cli_import_skips_scipy():
+    """Only GeLU and the Spearman p-value use scipy, and they import it
+    when first called, so commands that need neither never load it."""
+    src = str(Path(mindkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mindkit.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["train-transform", "sanity-check"])
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_threads_below_one_is_a_usage_error(command, threads, capsys):
+    report = ["--report", "r.json"] if command == "sanity-check" else []
+    assert main([command, "--data", "d.csv", "--model", "m.json", *report,
+                 f"--threads={threads}", "--out", "o"]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert validate_artifact(doc) == "mindkit.error/1"
+    assert doc["command"] == command
+    assert "--threads" in doc["message"] and "positive" in doc["message"]
+
+
 class TestGenData:
     def test_deterministic_bytes(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
@@ -254,12 +282,13 @@ class TestTransformPipeline:
 
     def test_failed_restart_reason_printed(self, pipeline, tmp_path, capsys,
                                            monkeypatch):
-        real = mt.train_transform
-        def fails_at_restart_one(model, tspec, dataset, config, *, restart=0):
+        real = mt._init_restart
+        def fails_at_restart_one(tspec, dataset, config, restart):
+            transform, run = real(tspec, dataset, config, restart)
             if restart == 1:
-                raise TrainingError("synthetic failure")
-            return real(model, tspec, dataset, config, restart=restart)
-        monkeypatch.setattr(mt, "train_transform", fails_at_restart_one)
+                run.error = "synthetic failure"
+            return transform, run
+        monkeypatch.setattr(mt, "_init_restart", fails_at_restart_one)
         run_ok(["train-transform", "--data", str(pipeline["data"]),
                 "--model", str(pipeline["model"]), "--kind", "gating",
                 "--config", str(pipeline["mind_cfg"]), "--seed", "3",

@@ -255,6 +255,58 @@ def _seq_block(x, w):
     return dc.normalize(h)
 
 
+class TestRowsAndConcat:
+    """Leading-axis slice and concatenation, which stacked restarts use."""
+
+    def test_forward_values(self):
+        x = dc.leaf("x", (5, 2))
+        X = np.arange(10.0).reshape(5, 2)
+        g = dc.Graph(dc.concat([dc.rows(x, 3, 5), dc.rows(x, 0, 2)]))
+        np.testing.assert_array_equal(g.evaluate({"x": X}),
+                                      np.concatenate([X[3:5], X[0:2]]))
+
+    def test_whole_range_and_single_part_are_the_node_itself(self):
+        x = dc.leaf("x", (4, 3))
+        assert dc.rows(x, 0, 4) is x
+        assert dc.concat([x]) is x
+
+    def test_gradients_match_finite_differences(self):
+        # overlapping slices of one leaf, a slice of another, each
+        # weighted differently, so every gradient path is distinct
+        rng = np.random.default_rng(11)
+        a, b = dc.leaf("a", (5, 2, 3)), dc.leaf("b", (2, 2, 3))
+        w = dc.constant(rng.normal(size=(6, 2, 3)))
+        joined = dc.concat([dc.rows(a, 1, 4), dc.rows(a, 0, 2),
+                            dc.rows(b, 1, 2)])
+        graph = dc.Graph(dc.sum_(dc.mul(dc.mul(joined, joined), w)))
+        binds = {"a": rng.normal(size=(5, 2, 3)),
+                 "b": rng.normal(size=(2, 2, 3))}
+        assert_grads_match(graph, binds, ["a", "b"])
+
+    def test_out_of_range_and_mismatched_parts_rejected(self):
+        x, y = dc.leaf("x", (4, 3)), dc.leaf("y", (2, 2))
+        with pytest.raises(GraphError):
+            dc.rows(x, 2, 5)
+        with pytest.raises(GraphError):
+            dc.rows(x, 2, 2)
+        with pytest.raises(GraphError):
+            dc.concat([x, y])
+
+    def test_seed_gives_the_gradient_of_the_weighted_sum(self):
+        x = dc.leaf("x", (3, 2))
+        per_row = dc.mean(dc.mul(x, x), axis=1)
+        X = np.random.default_rng(12).normal(size=(3, 2))
+        seed = np.array([1.0, 2.0, -0.5])
+        val, grads = dc.Graph(per_row).value_and_grad(
+            {"x": X}, wrt=["x"], seed=seed)
+        np.testing.assert_array_equal(val, (X * X).mean(axis=1))
+        np.testing.assert_allclose(grads["x"], seed[:, None] * X,
+                                   rtol=1e-15)
+        with pytest.raises(GraphError, match="seed shape"):
+            dc.Graph(per_row).value_and_grad({"x": X}, wrt=["x"],
+                                             seed=np.ones(2))
+
+
 class TestSavedValues:
     """Forward sweeps hand saved values to their own reverse sweep only."""
 

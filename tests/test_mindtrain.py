@@ -472,12 +472,13 @@ class TestMultiRestart:
         assert serial.selected == parallel.selected
 
     def test_failed_restarts_are_recorded_and_excluded(self, monkeypatch):
-        real = mt.train_transform
-        def flaky(model, tspec, dataset, config, *, restart=0):
+        real = mt._init_restart
+        def flaky(tspec, dataset, config, restart):
+            transform, run = real(tspec, dataset, config, restart)
             if restart == 1:
-                raise TrainingError("synthetic failure")
-            return real(model, tspec, dataset, config, restart=restart)
-        monkeypatch.setattr(mt, "train_transform", flaky)
+                run.error = "synthetic failure"
+            return transform, run
+        monkeypatch.setattr(mt, "_init_restart", flaky)
         ds = classifier_dataset(seed=5)
         m = build_model("mlp", 3, output="probability", seed=5)
         cfg = MindConfig(lam=0.2, restarts=3, top_k=2, max_epochs=5, seed=7)
@@ -488,9 +489,12 @@ class TestMultiRestart:
         assert len(res.diagnostics) == 2
 
     def test_too_few_successes_is_an_error(self, monkeypatch):
-        def always_fail(model, tspec, dataset, config, *, restart=0):
-            raise TrainingError("synthetic failure")
-        monkeypatch.setattr(mt, "train_transform", always_fail)
+        real = mt._init_restart
+        def always_fail(tspec, dataset, config, restart):
+            transform, run = real(tspec, dataset, config, restart)
+            run.error = "synthetic failure"
+            return transform, run
+        monkeypatch.setattr(mt, "_init_restart", always_fail)
         ds = classifier_dataset(seed=6)
         m = build_model("mlp", 3, output="probability", seed=6)
         cfg = MindConfig(lam=0.2, restarts=3, top_k=2, max_epochs=5, seed=8)
@@ -530,6 +534,190 @@ class TestMultiRestart:
                          transforms=[], lam=0.1)
         np.testing.assert_allclose(res.feature_scores(), [0.5, 0.3])
         np.testing.assert_allclose(res.feature_spread(), [0.5, 0.1])
+
+
+def nan_loss_at(monkeypatch, step, index):
+    """Make the stacked loss of slot `index` NaN at training step `step`."""
+    real = mt._Problem.value_and_grad
+    calls = iter(range(10 ** 9))
+
+    def patched(self, X, fc, extra):
+        losses, grads = real(self, X, fc, extra)
+        if next(calls) == step:
+            losses = losses.copy()
+            losses[index] = np.nan
+        return losses, grads
+
+    monkeypatch.setattr(mt._Problem, "value_and_grad", patched)
+
+
+class TestStackedRestarts:
+    # Stacking only reorders float sums (the frozen model runs over all
+    # R * B rows at once), so stacked and one-restart fits agree to the
+    # last bits; 1e-9 leaves a wide margin over the ~1e-14 seen.
+    TOL = 1e-9
+
+    def _chunks_of_one(self, monkeypatch):
+        monkeypatch.setattr(mt, "CHUNK_VALUES", 1)
+
+    def test_nonfinite_loss_fails_only_that_restart(self, monkeypatch):
+        ds = classifier_dataset(seed=5)
+        m = build_model("mlp", 3, output="probability", seed=5)
+        cfg = MindConfig(lam=0.2, restarts=3, top_k=2, max_epochs=6, seed=7)
+        clean = multi_restart(m, TransformSpec("gating"), ds, cfg)
+        with monkeypatch.context() as patch:
+            nan_loss_at(patch, step=3, index=0)
+            with pytest.raises(TrainingError) as serial:
+                train_transform(m, TransformSpec("gating"), ds, cfg,
+                                restart=1)
+        nan_loss_at(monkeypatch, step=3, index=1)
+        res = multi_restart(m, TransformSpec("gating"), ds, cfg)
+        assert res.failed == [1]
+        assert res.failure_reasons == [str(serial.value)]
+        assert str(serial.value).startswith(
+            "non-finite training loss in transform restart 1 at epoch 0")
+        assert sorted(d.restart for d in res.diagnostics) == [0, 2]
+        # the survivors are untouched by the failure, bit for bit
+        survivors = {d.restart: d for d in clean.diagnostics}
+        for d in res.diagnostics:
+            assert d.val_curve == survivors[d.restart].val_curve
+        assert res.selected == [r for r in clean.selected if r != 1]
+        np.testing.assert_array_equal(res.samples, clean.samples[
+            [clean.selected.index(r) for r in res.selected]])
+
+    def test_failed_stack_of_one_raises_the_serial_error(self,
+                                                        monkeypatch):
+        ds = classifier_dataset(seed=5)
+        m = build_model("mlp", 3, output="probability", seed=5)
+        cfg = MindConfig(lam=0.2, max_epochs=6, seed=7)
+        nan_loss_at(monkeypatch, step=0, index=0)
+        with pytest.raises(TrainingError, match=re.escape(
+                "non-finite training loss in transform restart 4 at epoch "
+                "0 (lr=0.05)")):
+            train_transform(m, TransformSpec("gating"), ds, cfg, restart=4)
+
+    def test_mlp_gating_stack_matches_chunks_of_one(self, monkeypatch):
+        ds = classifier_dataset(seed=5)
+        m = build_model("mlp", 3, output="probability", seed=5)
+        cfg = MindConfig(lam=0.2, restarts=3, top_k=3, max_epochs=30,
+                         seed=7)
+        stacked = multi_restart(m, TransformSpec("gating"), ds, cfg)
+        self._chunks_of_one(monkeypatch)
+        single = multi_restart(m, TransformSpec("gating"), ds, cfg)
+        self._assert_close(stacked, single)
+
+    def test_seqconv_residual_stack_matches_chunks_of_one(self,
+                                                          monkeypatch):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 2, 8))
+        y = (X.mean(axis=(1, 2)) > 0).astype(float)
+        ds = from_arrays(X, y, {"train": np.arange(45),
+                                "validation": np.arange(45, 60)})
+        m = build_model("seqconv", 2, seq_len=8, hidden=(4,), seed=7)
+        cfg = MindConfig(lam=0.1, restarts=3, top_k=3, max_epochs=10,
+                         seed=9)
+        spec = TransformSpec("residual")
+        assert len(mt.restart_chunks(3, mt._values_per_restart(
+            m, spec, ds, cfg))) == 1  # the budget lets this graph stack
+        stacked = multi_restart(m, spec, ds, cfg)
+        self._chunks_of_one(monkeypatch)
+        single = multi_restart(m, spec, ds, cfg)
+        self._assert_close(stacked, single)
+        for a, b in zip(stacked.transforms, single.transforms):
+            for k in a.params:
+                np.testing.assert_allclose(a.params[k], b.params[k],
+                                           rtol=0, atol=self.TOL)
+
+    def _assert_close(self, stacked, single):
+        assert stacked.selected == single.selected
+        np.testing.assert_allclose(stacked.samples, single.samples,
+                                   rtol=0, atol=self.TOL)
+        for a, b in zip(stacked.diagnostics, single.diagnostics):
+            assert a.epochs == b.epochs and a.stop_reason == b.stop_reason
+            np.testing.assert_allclose(a.val_curve, b.val_curve,
+                                       rtol=self.TOL)
+            np.testing.assert_allclose(a.train_curve, b.train_curve,
+                                       rtol=self.TOL)
+
+    @pytest.mark.parametrize("restarts,values,sizes", [
+        (8, 13_117, [4, 4]),     # MLP gating, d=14, hidden 16, B=100
+        (3, 13_117, [3]),        # the same graph in a sanity refit
+        (8, 62_285, [1] * 8),    # seqconv gating, d=6, T=12, B=90
+        (8, 75_305, [1] * 8),    # seqconv basis gating (chebyshev)
+        (8, 202_709, [1] * 8),   # seqconv residual
+        (3, 62_285, [1] * 3),
+    ])
+    def test_chunk_sizes_for_the_measured_graphs(self, restarts, values,
+                                                 sizes):
+        chunks = mt.restart_chunks(restarts, values)
+        assert [len(c) for c in chunks] == sizes
+        assert [r for c in chunks for r in c] == list(range(restarts))
+
+    def test_pipeline_mlp_graph_runs_as_4_plus_4(self):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((900, 14))
+        ds = from_arrays(X, (X[:, 2] > 0).astype(float),
+                         {"train": np.arange(540),
+                          "validation": np.arange(540, 720)})
+        m = build_model("mlp", 14, hidden=(16,), output="probability")
+        cfg = MindConfig(similarity="inner_product", seed=1)
+        values = mt._values_per_restart(m, TransformSpec("gating"), ds, cfg)
+        assert values == 13_117
+        assert [len(c) for c in mt.restart_chunks(8, values)] == [4, 4]
+
+    def _recording_pool(self, monkeypatch):
+        """ProcessPoolExecutor stand-in that runs in-process and records
+        the worker count it was asked for."""
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(mt, "ProcessPoolExecutor", Pool)
+        return asked
+
+    def test_pool_is_capped_at_the_chunk_count(self, monkeypatch):
+        asked = self._recording_pool(monkeypatch)
+        ds = classifier_dataset(seed=4, n=100)
+        m = build_model("mlp", 3, output="probability", seed=4)
+        cfg = MindConfig(lam=0.3, restarts=3, top_k=2, max_epochs=3, seed=6)
+        multi_restart(m, TransformSpec("gating"), ds, cfg, threads=8)
+        assert asked == []  # one chunk runs in this process
+        self._chunks_of_one(monkeypatch)
+        multi_restart(m, TransformSpec("gating"), ds, cfg, threads=8)
+        multi_restart(m, TransformSpec("gating"), ds, cfg, threads=2)
+        assert asked == [3, 2]
+
+    def test_threads_below_one_rejected(self):
+        ds = classifier_dataset(seed=4, n=100)
+        m = build_model("mlp", 3, output="probability", seed=4)
+        with pytest.raises(TrainingError, match="threads"):
+            multi_restart(m, TransformSpec("gating"), ds,
+                          MindConfig(restarts=1, top_k=1), threads=0)
+
+    def test_two_workers_match_one_bit_for_bit(self, monkeypatch):
+        ds = classifier_dataset(seed=4, n=100)
+        m = build_model("mlp", 3, output="probability", seed=4)
+        cfg = MindConfig(lam=0.3, restarts=4, top_k=3, max_epochs=4, seed=6)
+        monkeypatch.setattr(mt, "CHUNK_VALUES",
+                            2 * mt._values_per_restart(
+                                m, TransformSpec("gating"), ds, cfg))
+        serial = multi_restart(m, TransformSpec("gating"), ds, cfg, threads=1)
+        pooled = multi_restart(m, TransformSpec("gating"), ds, cfg, threads=2)
+        np.testing.assert_array_equal(serial.samples, pooled.samples)
+        assert serial.selected == pooled.selected
+        assert [d.val_curve for d in serial.diagnostics] == \
+            [d.val_curve for d in pooled.diagnostics]
 
 
 class TestConfigValidation:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mindkit.errors import TrainingError
-from mindkit.optim import Adam, PlateauSchedule, fit
+from mindkit.optim import Adam, PlateauSchedule, Run, fit, fit_stack
 
 
 class TestAdam:
@@ -158,3 +158,57 @@ class TestFit:
         with pytest.raises(TrainingError,
                            match=f"non-finite {which} loss in toy fit"):
             self._run(vals, batch_loss=batch_loss)
+
+
+class TestFitStack:
+    def _runs(self, floors):
+        return [Run(f"toy {i}", np.random.default_rng(i),
+                    PlateauSchedule(patience=1, floor=floor), 0.1)
+                for i, floor in enumerate(floors)]
+
+    def test_failed_run_freezes_while_the_others_go_on(self):
+        # run 0 diverges at its 4th step: NaN loss and gradients from then
+        # on; run 1 trains for every epoch
+        params = {"w": np.zeros((2, 3))}
+        runs = self._runs([1e-9, 1e-9])
+        steps = []
+
+        def loss_and_grad(idx):
+            assert idx.shape[0] == 2
+            steps.append(params["w"].copy())
+            bad = len(steps) >= 4
+            grads = np.ones((2, 3))
+            grads[0] = np.nan if bad else 1.0
+            return np.array([np.nan if bad else 1.0, 1.0]), {"w": grads}
+
+        fit_stack(params, loss_and_grad, lambda: np.array([1.0, 1.0]), 5, 2,
+                  4, runs, Adam(params, lr=0.1))
+        assert runs[0].error == ("non-finite training loss in toy 0 at epoch "
+                                 "1 (lr=0.1); inspect data scaling or lower "
+                                 "lr")
+        assert len(runs[0].history["val_loss"]) == 1
+        np.testing.assert_array_equal(params["w"][0], steps[3][0])
+        assert runs[1].error is None and runs[1].stop_reason == "max_epochs"
+        assert len(runs[1].history["val_loss"]) == 4
+        assert len(steps) == 12  # 3 batches of 5 rows in each of 4 epochs
+
+    def test_stopped_run_keeps_its_best_epoch(self):
+        # run 0 hits its lr floor after epoch 2 and is restored to epoch 0;
+        # run 1 keeps improving and keeps stepping
+        params = {"w": np.zeros((2, 2))}
+        runs = self._runs([0.04, 1e-9])
+        snaps, vals = [], iter([[1.0, 3.0], [1.0, 2.0], [1.0, 1.0],
+                                [1.0, 0.5]])
+
+        def val_loss():
+            snaps.append(params["w"].copy())
+            return np.array(next(vals))
+
+        fit_stack(params, lambda idx: (np.ones(2), {"w": np.ones((2, 2))}),
+                  val_loss, 4, 2, 4, runs, Adam(params, lr=0.1))
+        assert runs[0].stop_reason == "lr_floor"
+        assert runs[0].history["lr"] == [0.1, 0.1, 0.05]
+        np.testing.assert_array_equal(params["w"][0], snaps[0][0])
+        assert runs[1].stop_reason == "max_epochs"
+        np.testing.assert_array_equal(params["w"][1], snaps[3][1])
+        assert not np.array_equal(params["w"][1], snaps[2][1])

@@ -7,6 +7,7 @@ Evaluation is pure: identical bindings give bit-identical results.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -73,8 +74,13 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # use; an op may return None in unneeded slots to skip work. An op whose
 # class sets `saves = True` returns (value, saved) from forward instead of the
 # value alone, and the graph hands that `saved` back to its vjp in the same
-# sweep (None otherwise). Ops are stateless: nothing is written to an op
-# during a sweep, so nodes may be shared between graphs.
+# sweep (None otherwise). An op whose class sets `buffered = True` takes every
+# large array it writes, scratch included, from the `empty` keyword of both
+# methods, which the graph points at its own buffers (np.empty by default).
+# An op whose class sets `views = True` may return a view of its first input
+# from forward; no other forward returns memory of its inputs, and no vjp
+# returns memory of a forward value. Ops are stateless: nothing is written to
+# an op during a sweep, so nodes may be shared between graphs.
 # ---------------------------------------------------------------------------
 
 
@@ -142,30 +148,38 @@ class _Conv1d:
     the weight; the columns are saved for the weight gradient.
     """
 
-    saves = True
+    saves = buffered = True
 
     def __init__(self, padding: int, dilation: int, groups: int):
         self.padding = int(padding)
         self.dilation = int(dilation)
         self.groups = int(groups)
 
-    def forward(self, x, w):
+    def forward(self, x, w, empty=np.empty):
         B, cin, T = x.shape
         cout, cg, K = w.shape
         G, p, d = self.groups, self.padding, self.dilation
         if p:
-            xp = np.zeros((B, cin, T + 2 * p))
+            xp = empty((B, cin, T + 2 * p))
+            xp[:, :, :p] = 0.0
+            xp[:, :, p + T:] = 0.0
             xp[:, :, p:p + T] = x
         else:
             xp = x
-        win = sliding_window_view(xp, (K - 1) * d + 1, axis=2)[..., ::d]
-        tout = win.shape[2]
-        cols = win.reshape(B, G, cg, tout, K).transpose(0, 1, 2, 4, 3) \
-            .reshape(B, G, cg * K, tout)
-        out = np.matmul(w.reshape(G, cout // G, cg * K), cols)
-        return out.reshape(B, cout, tout), cols
+        tout = T + 2 * p - d * (K - 1)
+        if K == 1:  # the input is its own columns
+            cols = xp.reshape(B, G, cg, tout)
+        else:
+            win = sliding_window_view(xp, (K - 1) * d + 1, axis=2)[..., ::d]
+            cols = empty((B, G, cg * K, tout))
+            cols.reshape(B, G, cg, K, tout)[...] = \
+                win.reshape(B, G, cg, tout, K).transpose(0, 1, 2, 4, 3)
+        out = empty((B, cout, tout))
+        np.matmul(w.reshape(G, cout // G, cg * K), cols,
+                  out=out.reshape(B, G, cout // G, tout))
+        return out, cols
 
-    def vjp(self, g, y, xs, needs, cols):
+    def vjp(self, g, y, xs, needs, cols, empty=np.empty):
         x, w = xs
         B, cin, T = x.shape
         cout, cg, K = w.shape
@@ -175,46 +189,57 @@ class _Conv1d:
         gg = np.ascontiguousarray(g).reshape(B, G, cout // G, tout)
         dx = dw = None
         if needs[1]:
-            dw = np.matmul(gg, cols.swapaxes(2, 3)).sum(axis=0)
-            dw = dw.reshape(w.shape)
+            per_row = empty((B, G, cout // G, cg * K))
+            np.matmul(gg, cols.swapaxes(2, 3), out=per_row)
+            dw = per_row.sum(axis=0).reshape(w.shape)
         if needs[0]:
             wg = w.reshape(G, cout // G, cg * K)
-            dcols = np.matmul(wg.transpose(0, 2, 1), gg)
+            dcols = empty((B, G, cg * K, tout))
+            np.matmul(wg.transpose(0, 2, 1), gg, out=dcols)
             # col2im into a time-major buffer, so each tap is one block add
             taps = dcols.reshape(B, cin, K, tout).transpose(2, 3, 0, 1)
-            dxp = np.zeros((T + 2 * p, B, cin))
+            dxp = empty((T + 2 * p, B, cin))
+            dxp.fill(0.0)
             for k in range(K):
                 dxp[k * d:k * d + tout] += taps[k]
-            dx = np.ascontiguousarray(dxp[p:p + T].transpose(1, 2, 0))
+            dx = empty((B, cin, T))
+            np.copyto(dx, dxp[p:p + T].transpose(1, 2, 0))
         return dx, dw
 
 
 class _Relu:
-    def forward(self, x):
-        return np.maximum(x, 0.0)
+    buffered = True
 
-    def vjp(self, g, y, xs, needs, saved):
-        return (g * (xs[0] > 0) if needs[0] else None,)
+    def forward(self, x, empty=np.empty):
+        return np.maximum(x, 0.0, out=empty(x.shape))
+
+    def vjp(self, g, y, xs, needs, saved, empty=np.empty):
+        if not needs[0]:
+            return (None,)
+        return (np.multiply(g, xs[0] > 0, out=empty(g.shape)),)
 
 
 class _Gelu:
     """Exact Gaussian-CDF form: x * Phi(x); Phi(x) is saved for the VJP."""
 
-    saves = True
+    saves = buffered = True
 
-    def forward(self, x):
+    def forward(self, x, empty=np.empty):
         from scipy.special import erf  # only sequence models use GeLU
-        cdf = erf(x / _SQRT2)
+        cdf = np.divide(x, _SQRT2, out=empty(x.shape))
+        erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
-        return x * cdf, cdf
+        return np.multiply(x, cdf, out=empty(x.shape)), cdf
 
-    def vjp(self, g, y, xs, needs, cdf):
+    def vjp(self, g, y, xs, needs, cdf, empty=np.empty):
         if not needs[0]:
             return (None,)
         x = xs[0]
         # g * (cdf + x * pdf), accumulated in place in the pdf buffer
-        out = np.exp(-0.5 * x * x)
+        out = np.multiply(x, -0.5, out=empty(x.shape))
+        out *= x
+        np.exp(out, out=out)
         out *= _PHI_SCALE
         out *= x
         out += cdf
@@ -239,26 +264,28 @@ class _Normalize:
     reciprocal standard deviation is saved for the VJP.
     """
 
-    saves = True
+    saves = buffered = True
 
     def __init__(self, axis=-1):
         self.axis = axis
 
-    def forward(self, x):
+    def forward(self, x, empty=np.empty):
         mu = x.mean(axis=self.axis, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=self.axis, keepdims=True)
+        xc = np.subtract(x, mu, out=empty(x.shape))
+        sq = np.multiply(xc, xc, out=empty(x.shape))
+        var = sq.mean(axis=self.axis, keepdims=True)
         sd = np.sqrt(var + _BN_EPS)
         xc /= sd
         return xc, 1.0 / sd
 
-    def vjp(self, g, y, xs, needs, inv):
+    def vjp(self, g, y, xs, needs, inv, empty=np.empty):
         if not needs[0]:
             return (None,)
         gm = g.mean(axis=self.axis, keepdims=True)
-        gym = (g * y).mean(axis=self.axis, keepdims=True)
-        out = g - gm
-        out -= y * gym
+        tmp = np.multiply(g, y, out=empty(y.shape))
+        gym = tmp.mean(axis=self.axis, keepdims=True)
+        out = np.subtract(g, gm, out=empty(y.shape))
+        out -= np.multiply(y, gym, out=tmp)
         out *= inv
         return (out,)
 
@@ -426,6 +453,8 @@ class _BceLogits:
 class _Rows:
     """Leading-axis slice x[start:stop]."""
 
+    views = True
+
     def __init__(self, start: int, stop: int):
         self.start, self.stop = start, stop
 
@@ -456,6 +485,8 @@ class _Concat:
 
 
 class _Reshape:
+    views = True
+
     def __init__(self, shape):
         self.shape = tuple(shape)
 
@@ -564,23 +595,26 @@ def normalize(x: Node, axis: int = -1) -> Node:
     return Node(_Normalize(axis), (x,), x.shape)
 
 
+def _reduced(x: Node, axis: int, what: str) -> tuple[int, tuple]:
+    """A reduction axis checked against x, and the reduced shape."""
+    axis = int(axis)
+    if not -len(x.shape) <= axis < len(x.shape):
+        raise GraphError(f"{what} axis {axis} out of range for shape {x.shape}")
+    axis %= len(x.shape)
+    return axis, x.shape[:axis] + x.shape[axis + 1:]
+
+
 def mean(x: Node, axis: int | None = None) -> Node:
     if axis is None:
         return Node(_Mean(None), (x,), ())
-    axis = int(axis)
-    if not -len(x.shape) <= axis < len(x.shape):
-        raise GraphError(f"mean axis {axis} out of range for shape {x.shape}")
-    axis %= len(x.shape)
-    out = x.shape[:axis] + x.shape[axis + 1:]
+    axis, out = _reduced(x, axis, "mean")
     return Node(_Mean(axis), (x,), out)
 
 
 def sum_(x: Node, axis: int | None = None) -> Node:
     if axis is None:
         return Node(_Sum(None), (x,), ())
-    axis = int(axis)
-    axis %= len(x.shape)
-    out = x.shape[:axis] + x.shape[axis + 1:]
+    axis, out = _reduced(x, axis, "sum")
     return Node(_Sum(axis), (x,), out)
 
 
@@ -675,8 +709,96 @@ def _topo(output: Node) -> list[Node]:
     return order
 
 
+# Arrays of at least this many float64 values (128 KiB, glibc's default
+# mmap threshold) come from a graph's own buffers; glibc would hand them
+# back to the OS when freed and page-fault them in again on the next sweep.
+# Smaller ones come from malloc's heap, which is cheaper than bookkeeping,
+# and so do all the arrays of a graph none of whose nodes is this large.
+POOL_MIN_VALUES = 2 ** 14
+_GRADS = -1     # the owner key of the gradient buffers of a reverse sweep
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory `a` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class _Buffers:
+    """The large arrays of one graph's sweeps, kept from sweep to sweep.
+
+    Ops take them through `empty`. After a buffered op call, `keep` files
+    the buffers that the returned arrays live in under an owner, a node
+    index or _GRADS, and frees the op's scratch at once. The sweep frees an
+    owner's buffers once no later step reads them, so values that are never
+    live at the same time share memory (Chen et al., 2016). Gradients keep
+    theirs until the next sweep starts.
+    """
+
+    def __init__(self):
+        self.free: dict[int, list[np.ndarray]] = {}
+        self.ids: set[int] = set()           # every buffer made here
+        self.taken: list[np.ndarray] = []    # by the op call under way
+        self.owned: dict[int, list[np.ndarray]] = {}
+
+    def empty(self, shape) -> np.ndarray:
+        n = math.prod(shape)
+        if n < POOL_MIN_VALUES:
+            return np.empty(shape)
+        stack = self.free.get(n)
+        if stack:
+            buf = stack.pop()
+        else:
+            buf = np.empty(n)
+            self.ids.add(id(buf))
+        self.taken.append(buf)
+        return buf.reshape(shape)
+
+    def keep(self, owner: int, arrays) -> None:
+        if not self.taken:
+            return
+        roots = [id(_base(a)) for a in arrays if a is not None]
+        for buf in self.taken:
+            if id(buf) in roots:
+                self.owned.setdefault(owner, []).append(buf)
+            else:
+                self.free.setdefault(buf.size, []).append(buf)
+        self.taken.clear()
+
+    def release(self, owner: int) -> None:
+        for buf in self.owned.pop(owner, ()):
+            self.free.setdefault(buf.size, []).append(buf)
+
+    def reset(self) -> None:
+        """Free every buffer; a sweep starts from here."""
+        for owner in list(self.owned):
+            self.release(owner)
+        self.keep(_GRADS, ())   # scratch left by an op that raised
+
+    def escape(self, a):
+        """`a`, copied if it lives in one of the buffers."""
+        if self.ids and id(_base(a)) in self.ids:
+            return np.array(a, order="C")
+        return a
+
+    def add(self, a, b):
+        """a + b for two gradients of one node."""
+        if a.shape != b.shape:
+            return a + b
+        out = np.add(a, b, out=self.empty(a.shape))
+        self.keep(_GRADS, (out,))
+        return out
+
+
 class Graph:
-    """A frozen DAG with one scalar-or-tensor output node."""
+    """A frozen DAG with one scalar-or-tensor output node.
+
+    The graph owns the large arrays of its sweeps (see _Buffers), so one
+    graph must not be swept by two threads at once. Only the output value
+    and the leaf gradients leave a sweep, and they never share memory with
+    the graph's buffers.
+    """
 
     def __init__(self, output: Node):
         self.output = output
@@ -687,13 +809,36 @@ class Graph:
         self.leaves = {n.name: n for n in self.nodes if n.name is not None}
         self._saves = [getattr(n.op, "saves", False) for n in self.nodes]
         self._needed_cache: dict[frozenset, list[bool]] = {}
+        self._bufs = _Buffers()
+        large = any(math.prod(n.shape) >= POOL_MIN_VALUES for n in self.nodes)
+        self._buffered = [large and getattr(n.op, "buffered", False)
+                          for n in self.nodes]
+        # An evaluate sweep frees the buffers a buffered node's value lives
+        # in after the last step that reads it, or a view of it; never the
+        # output's.
+        self._frees: list[list[int]] = [[] for _ in self.nodes]
+        if large:
+            store: list[int] = []
+            for i, n in enumerate(self.nodes):
+                views = getattr(n.op, "views", False)
+                store.append(store[self._pidx[i][0]] if views else i)
+            last = {store[j]: i for i, pv in enumerate(self._pidx)
+                    for j in pv}
+            last.pop(store[-1], None)
+            for owner, i in last.items():
+                if self._buffered[owner]:
+                    self._frees[i].append(owner)
 
     # -- forward ------------------------------------------------------------
 
-    def _forward(self, bindings: Mapping[str, np.ndarray]
+    def _forward(self, bindings: Mapping[str, np.ndarray], keep: bool
                  ) -> tuple[list, list]:
         """Node values plus, parallel to them, what each op saved for its
-        VJP in this sweep (None where an op saves nothing)."""
+        VJP in this sweep (None where an op saves nothing). With `keep`
+        false, nothing saved is kept and the values of buffered nodes are
+        dropped after their last reader."""
+        bufs = self._bufs
+        bufs.reset()
         vals: list = [None] * len(self.nodes)
         saved: list = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
@@ -707,17 +852,29 @@ class Graph:
                 vals[i] = val
             elif node.op is None:
                 vals[i] = node.value
-            elif self._saves[i]:
-                vals[i], saved[i] = node.op.forward(
-                    *(vals[j] for j in self._pidx[i]))
             else:
-                vals[i] = node.op.forward(*(vals[j] for j in self._pidx[i]))
+                xs = [vals[j] for j in self._pidx[i]]
+                if self._buffered[i]:
+                    out = node.op.forward(*xs, empty=bufs.empty)
+                else:
+                    out = node.op.forward(*xs)
+                if self._saves[i]:
+                    out, s = out
+                    if keep:
+                        saved[i] = s
+                vals[i] = out
+                if self._buffered[i]:
+                    bufs.keep(i, (out, saved[i]))
+            if not keep:
+                for owner in self._frees[i]:
+                    bufs.release(owner)
+                    vals[owner] = None
         return vals, saved
 
     def evaluate(self, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
         """Output value under a binding; pure, so equal bindings give
         bit-identical results."""
-        return self._forward(bindings)[0][-1]
+        return self._bufs.escape(self._forward(bindings, False)[0][-1])
 
     # -- reverse ------------------------------------------------------------
 
@@ -753,7 +910,9 @@ class Graph:
         for name in wrt:
             if name not in bindings and name not in self.leaves:
                 raise GraphError(f"gradient target {name!r} has no binding")
-        vals, saved = self._forward(bindings)
+        bufs = self._bufs
+        vals, saved = self._forward(bindings, True)
+        value = bufs.escape(vals[-1])
         needed = self._needed(wrt)
         grads: list = [None] * len(self.nodes)
         grads[-1] = np.asarray(seed, dtype=np.float64)
@@ -765,12 +924,18 @@ class Graph:
             needs = tuple(needed[j] for j in pv)
             if not any(needs):
                 continue
-            parts = node.op.vjp(g, vals[i], tuple(vals[j] for j in pv), needs,
-                                saved[i])
+            args = g, vals[i], tuple(vals[j] for j in pv), needs, saved[i]
+            if self._buffered[i]:
+                parts = node.op.vjp(*args, empty=bufs.empty)
+                bufs.keep(_GRADS, parts)
+                # every reader of node i has run its VJP: its buffers are free
+                bufs.release(i)
+            else:
+                parts = node.op.vjp(*args)
             for j, part in zip(pv, parts):
                 if part is None or not needed[j]:
                     continue
-                grads[j] = part if grads[j] is None else grads[j] + part
+                grads[j] = part if grads[j] is None else bufs.add(grads[j], part)
         out: dict[str, np.ndarray] = {}
         for name in wrt:
             node = self.leaves.get(name)
@@ -779,10 +944,9 @@ class Graph:
             else:
                 g = grads[self._index[id(node)]]
                 out[name] = (np.zeros(node.shape) if g is None
-                             else np.ascontiguousarray(g))
-        return vals[-1], out
+                             else np.ascontiguousarray(bufs.escape(g)))
+        return value, out
 
     def gradient(self, bindings: Mapping[str, np.ndarray],
                  wrt: Iterable[str]) -> dict[str, np.ndarray]:
         return self.value_and_grad(bindings, wrt)[1]
-

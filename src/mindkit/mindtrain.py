@@ -71,6 +71,9 @@ class MindConfig:
             raise TrainingError("limits must be positive")
         if self.lr <= 0 or self.max_epochs < 1:
             raise TrainingError("lr and max_epochs must be positive")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise TrainingError("batch_size must be positive, or null for "
+                                "the default")
 
 
 @dataclass
@@ -294,6 +297,9 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     fit_stack(params, loss_and_grad, lambda: problem.loss(*val_binds),
               len(Xtr), _batch_size(config, len(Xtr)), config.max_epochs,
               list(runs), opt, after_step if gate_key is not None else None)
+    # the graphs and their buffers are done with; free them before the
+    # diagnostics build graphs of their own
+    problem = None
 
     seq = dataset.seq_len is not None
     outcomes = []

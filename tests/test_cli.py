@@ -339,6 +339,16 @@ class TestMalformedInputs:
         assert doc["error"] == "DataError"
         assert repr(key) in doc["message"]
 
+    def test_negative_batch_size_config(self, pipeline, tmp_path, capsys):
+        # once ran every epoch with zero steps and wrote a "fitted" transform
+        cfg = tmp_path / "mind.json"
+        cfg.write_text(json.dumps({"batch_size": -5}))
+        doc = self._one_error_line(
+            capsys, self._train_transform(pipeline, tmp_path, cfg))
+        assert doc["error"] == "TrainingError"
+        assert "batch_size" in doc["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_model_checkpoint_without_params(self, pipeline, tmp_path,
                                              capsys):
         model = read(pipeline["model"])

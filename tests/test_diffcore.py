@@ -97,6 +97,19 @@ class TestForwardValues:
         with pytest.raises(GraphError, match="axis"):
             dc.normalize(x, axis=2)
 
+    @pytest.mark.parametrize("shape,axis", [((3, 4), 5), ((3, 4), -3),
+                                            ((), 0)])
+    def test_sum_bad_axis_rejected(self, shape, axis):
+        # (3, 4) with axis 5 once summed axis 1; a scalar raised
+        # ZeroDivisionError
+        with pytest.raises(GraphError, match="axis"):
+            dc.sum_(dc.leaf("x", shape), axis=axis)
+
+    def test_sum_negative_axis_counts_from_the_end(self):
+        x = dc.leaf("x", (3, 4))
+        assert dc.sum_(x, axis=-1).shape == (3,)
+        assert dc.sum_(x, axis=0).shape == (4,)
+
 
 class TestGradientValues:
     def test_sigmoid_gradient_at_zero(self):
@@ -332,6 +345,132 @@ class TestSavedValues:
         assert val == want_val
         for name in ("x", "w"):
             np.testing.assert_array_equal(grads[name], want[name])
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Every array of a sweep comes from the graph's buffers, so the
+        small graphs below exercise what large ones do."""
+        monkeypatch.setattr(dc, "POOL_MIN_VALUES", 1)
+
+    @staticmethod
+    def _conv(x, w):
+        return dc.conv1d(x, w, padding=1)
+
+    @staticmethod
+    def _unpooled(fn):
+        """fn() with every array from np.empty: the reference."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dc, "POOL_MIN_VALUES", float("inf"))
+            return fn()
+
+    OUTPUTS = {
+        "gelu": lambda x, w: dc.gelu(TestSavedValues._conv(x, w)),
+        "reshape of gelu": lambda x, w: dc.reshape(
+            dc.gelu(TestSavedValues._conv(x, w)), (3, 35)),
+        "rows of conv": lambda x, w: dc.rows(TestSavedValues._conv(x, w),
+                                             1, 3),
+        "relu of normalize": lambda x, w: dc.relu(dc.normalize(
+            TestSavedValues._conv(x, w), axis=1)),
+        # the view is made first and read last, after a GeLU of its size
+        "view read after later ops": lambda x, w: dc.mul(
+            dc.reshape(dc.gelu(dc.scale(TestSavedValues._conv(x, w), 2.0)),
+                       (3, 35)),
+            dc.reshape(dc.gelu(TestSavedValues._conv(x, w)), (3, 35))),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(OUTPUTS))
+    def test_results_survive_the_next_sweep(self, pooled, kind):
+        def graph():
+            x, w = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))
+            return dc.Graph(self.OUTPUTS[kind](x, w))
+
+        g = graph()
+        first, second = self._bindings(1), self._bindings(2)
+        seed = np.linspace(-1.0, 1.0, int(np.prod(g.output.shape))) \
+            .reshape(g.output.shape)
+        value = g.evaluate(first)
+        val, grads = g.value_and_grad(first, wrt=["x", "w"], seed=seed)
+        g.value_and_grad(second, wrt=["x", "w"], seed=seed)
+        g.evaluate(second)
+
+        want_val, want = self._unpooled(lambda: graph().value_and_grad(
+            first, wrt=["x", "w"], seed=seed))
+        np.testing.assert_array_equal(value, want_val)
+        np.testing.assert_array_equal(val, want_val)
+        for name in ("x", "w"):
+            np.testing.assert_array_equal(grads[name], want[name])
+
+    def test_leaf_gradient_reached_through_views_survives(self, pooled):
+        # the gelu VJP writes a graph buffer; reshape and concat hand the
+        # leaves views of it
+        def graph():
+            a, b = dc.leaf("a", (2, 4, 7)), dc.leaf("b", (1, 4, 7))
+            joined = dc.reshape(dc.concat([a, b]), (3, 28))
+            return dc.Graph(dc.sum_(dc.gelu(joined)))
+
+        rng = np.random.default_rng(5)
+        first = {"a": rng.normal(size=(2, 4, 7)),
+                 "b": rng.normal(size=(1, 4, 7))}
+        second = {k: rng.normal(size=v.shape) for k, v in first.items()}
+        g = graph()
+        _, grads = g.value_and_grad(first, wrt=["a", "b"])
+        g.value_and_grad(second, wrt=["a", "b"])
+        _, want = self._unpooled(
+            lambda: graph().value_and_grad(first, wrt=["a", "b"]))
+        for name in ("a", "b"):
+            np.testing.assert_array_equal(grads[name], want[name])
+
+    def test_interleaved_graphs_sharing_nodes_match_fresh_ones(self, pooled):
+        def graphs():
+            x, w = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))
+            h = _seq_block(x, w)
+            return (dc.Graph(dc.mean(dc.mul(h, h))),
+                    dc.Graph(dc.sum_(dc.relu(dc.reshape(h, (3, 35))))))
+
+        shared = graphs()
+        for step in range(4):
+            binds = self._bindings(10 + step)
+            for k, g in enumerate(shared[::-1] if step % 2 else shared):
+                fresh = graphs()[1 - k if step % 2 else k]
+                val, grads = g.value_and_grad(binds, wrt=["x", "w"])
+                want_val, want = self._unpooled(
+                    lambda: fresh.value_and_grad(binds, wrt=["x", "w"]))
+                assert val == want_val == g.evaluate(binds)
+                for name in ("x", "w"):
+                    np.testing.assert_array_equal(grads[name], want[name])
+
+    def test_problem_train_and_validation_graphs_interleaved(self, pooled):
+        from mindkit.mindtrain import MindConfig, _Problem
+        from mindkit.models import build_model
+        from mindkit.transforms import TransformSpec, init_transform
+
+        model = build_model("seqconv", 3, seq_len=8, hidden=(4,), seed=2)
+        t = init_transform(TransformSpec("residual", intercept=False), 3, 8,
+                           np.random.default_rng(3))
+        for v in t.params.values():  # leave the identity start
+            v += np.random.default_rng(4).normal(scale=0.1, size=v.shape)
+        cfg = MindConfig(lam=0.1, similarity="cosine")
+        params = {k: np.stack([v, 2 * v]) for k, v in t.params.items()}
+
+        def problem():
+            return _Problem(model, t, cfg, params)
+
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(22, 3, 8))
+        fc = rng.uniform(size=22)
+        train, val = slice(0, 10), slice(10, 22)
+        shared = problem()
+        for step in range(3):
+            X[train] += 0.1
+            loss, grads = shared.value_and_grad(X[train], fc[train], {})
+            val_loss = shared.loss(X[val], fc[val], {})
+            want_loss, want = self._unpooled(
+                lambda: problem().value_and_grad(X[train], fc[train], {}))
+            np.testing.assert_array_equal(loss, want_loss)
+            np.testing.assert_array_equal(val_loss, self._unpooled(
+                lambda: problem().loss(X[val], fc[val], {})))
+            for name in params:
+                np.testing.assert_array_equal(grads[name], want[name])
 
     def test_ops_are_not_written_during_a_sweep(self):
         x, w = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))

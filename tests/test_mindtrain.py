@@ -731,7 +731,13 @@ class TestConfigValidation:
         {"cosine_limit": -1.0},
         {"lr": 0.0},
         {"max_epochs": 0},
+        {"batch_size": 0},
+        {"batch_size": -5},
     ])
     def test_bad_configs_rejected(self, kw):
         with pytest.raises(TrainingError):
             MindConfig(**kw)
+
+    def test_batch_size_null_means_the_default(self):
+        assert MindConfig(batch_size=None).batch_size is None
+        assert MindConfig(batch_size=1).batch_size == 1

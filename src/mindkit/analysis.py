@@ -77,8 +77,9 @@ class ClosedFormInputs:
             raise AnalysisError("moment matrix must be symmetric")
         if float(np.linalg.eigvalsh(self.moment)[0]) < -1e-8:
             raise AnalysisError("moment matrix must be positive semidefinite")
-        if self.lam < 0:
-            raise AnalysisError("lambda must be nonnegative")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise AnalysisError(
+                f"lambda must be finite and nonnegative, got {self.lam}")
 
 
 @dataclass
@@ -395,6 +396,9 @@ def sanity_check(model: Model, tspec, dataset: Dataset, config,
     reference_scores by rank correlation. Fits that fail to converge are
     counted and excluded rather than aborting the check.
     """
+    if shuffles < 1:
+        raise AnalysisError(f"shuffles must be at least 1, got {shuffles}")
+
     def damaged(li: int, layer: str):
         for s in range(shuffles):
             rng = substream(seed, f"sanity.{layer}.shuffle{s}")
@@ -414,6 +418,9 @@ def restart_baseline(model: Model, tspec, dataset: Dataset, config,
     against: each instance refits with fresh training randomness and is
     compared to reference_scores exactly as sanity_check does.
     """
+    if instances < 1:
+        raise AnalysisError(f"instances must be at least 1, got {instances}")
+
     def reseeded():
         for s in range(instances):
             rng = substream(seed, f"baseline.instance{s}")

@@ -210,8 +210,27 @@ def _cmd_tune_lambda(args) -> None:
     print(f"lambda = {tuned.lam:g} [{state}]")
 
 
+def _read_report(path) -> dict:
+    """A mindkit.report/1 document whose per-feature lists, and channel
+    grid, hold one entry per feature."""
+    report = schemas.read_json(path, expect="mindkit.report/1")
+    lists = [report[k] for k in ("score_mean", "score_std",
+                                 "correlation_mean", "correlation_std")]
+    channels = report.get("channels")
+    rows = []
+    if channels:
+        lists += [channels["score_mean"], channels["score_std"]]
+        rows = channels["score_mean"] + channels["score_std"]
+    n = len(report["features"])
+    if any(len(v) != n for v in lists) \
+            or any(len(row) != len(channels["names"]) for row in rows):
+        raise DataError(f"report {path} does not hold one score per "
+                        f"feature (and channel) for its {n} features")
+    return report
+
+
 def _cmd_score(args) -> None:
-    manifest = schemas.read_json(args.manifest, expect="mindkit.report/1")
+    manifest = _read_report(args.manifest)
     out = _outdir(args)
     schemas.write_json(out / "report.json", manifest)
     features = manifest["features"]
@@ -269,7 +288,8 @@ def _cmd_oracle(args) -> None:
         })
 
 
-def _reference_scores(report: dict, dataset: Dataset) -> np.ndarray:
+def _reference_scores(path, dataset: Dataset) -> np.ndarray:
+    report = _read_report(path)
     if report["features"] != dataset.feature_names:
         raise DataError("report features do not match the dataset; "
                         "was the reference trained on this data?")
@@ -284,8 +304,7 @@ def _cmd_sanity_check(args) -> None:
     model = load_model(args.model)
     config = _mind_config(args)
     tspec = _transform_spec(args, dataset)
-    reference = _reference_scores(
-        schemas.read_json(args.report, expect="mindkit.report/1"), dataset)
+    reference = _reference_scores(args.report, dataset)
     base = analysis.restart_baseline(model, tspec, dataset, config, reference,
                                      instances=args.shuffles,
                                      seed=config.seed, threads=args.threads)
@@ -323,8 +342,7 @@ def _cmd_baselines(args) -> None:
     rho, p = analysis.spearman(sal, ig)
     table = [{"pair": ["saliency", "integrated_gradients"], "rho": rho, "p": p}]
     if args.report is not None:
-        mind = _reference_scores(
-            schemas.read_json(args.report, expect="mindkit.report/1"), dataset)
+        mind = _reference_scores(args.report, dataset)
         # gates near 1 mean "needed"; flip sign so large-means-important
         # baselines are directly comparable
         for name, scores in (("saliency", sal), ("integrated_gradients", ig)):
@@ -367,7 +385,7 @@ def _add_transform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="MindConfig JSON")
 
 
-def _threads(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -418,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit an invariance transform to a frozen model")
     _add_data_args(p)
     _add_transform_args(p)
-    p.add_argument("--threads", type=_threads, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes for restart chunks")
     p.add_argument("--lam", type=float, default=None,
                    help="override the config's penalty weight")
@@ -459,11 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "report")
     _add_data_args(p)
     _add_transform_args(p)
-    p.add_argument("--threads", type=_threads, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes for restart chunks")
     p.add_argument("--report", required=True,
                    help="reference report/manifest JSON")
-    p.add_argument("--shuffles", type=int, default=5)
+    p.add_argument("--shuffles", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sanity_check)

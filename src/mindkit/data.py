@@ -128,6 +128,13 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
         sidecar = json.loads(sidecar_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read sidecar {sidecar_path}: {exc}") from exc
+    split_ids = sidecar.get("splits", {}) if isinstance(sidecar, dict) \
+        else None
+    if not isinstance(split_ids, dict) or not all(
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            for ids in split_ids.values()):
+        raise DataError(f"sidecar {sidecar_path} must be a JSON object whose "
+                        f"splits map names to lists of instance ids")
     task = sidecar.get("task", "classification")
 
     with data_path.open(newline="") as fh:
@@ -189,7 +196,7 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
     id_index = {iid: i for i, iid in enumerate(order)}
     splits = {}
     seen: set[str] = set()
-    for name, ids in sidecar.get("splits", {}).items():
+    for name, ids in split_ids.items():
         unknown = [i for i in ids if i not in id_index]
         if unknown:
             raise DataError(f"split {name!r} references unknown ids {unknown[:3]}")

@@ -78,9 +78,9 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # large array it writes, scratch included, from the `empty` keyword of both
 # methods, which the graph points at its own buffers (np.empty by default).
 # An op whose class sets `views = True` may return a view of its first input
-# from forward; no other forward returns memory of its inputs, and no vjp
-# returns memory of a forward value. Ops are stateless: nothing is written to
-# an op during a sweep, so nodes may be shared between graphs.
+# from forward (only reshape does); no other forward returns memory of its
+# inputs, and no vjp returns memory of a forward value. Ops are stateless:
+# nothing is written to an op during a sweep, so graphs may share nodes.
 # ---------------------------------------------------------------------------
 
 
@@ -450,40 +450,6 @@ class _BceLogits:
         return dz, dt
 
 
-class _Rows:
-    """Leading-axis slice x[start:stop]."""
-
-    views = True
-
-    def __init__(self, start: int, stop: int):
-        self.start, self.stop = start, stop
-
-    def forward(self, x):
-        return x[self.start:self.stop]
-
-    def vjp(self, g, y, xs, needs, saved):
-        if not needs[0]:
-            return (None,)
-        out = np.zeros(xs[0].shape)
-        out[self.start:self.stop] = g
-        return (out,)
-
-
-class _Concat:
-    """Concatenation along the leading axis."""
-
-    def forward(self, *xs):
-        return np.concatenate(xs)
-
-    def vjp(self, g, y, xs, needs, saved):
-        parts, start = [], 0
-        for x, need in zip(xs, needs):
-            stop = start + x.shape[0]
-            parts.append(g[start:stop] if need else None)
-            start = stop
-        return tuple(parts)
-
-
 class _Reshape:
     views = True
 
@@ -661,29 +627,6 @@ def reshape(x: Node, shape: Iterable[int]) -> Node:
     if int(np.prod(shape)) != int(np.prod(x.shape)):
         raise GraphError(f"cannot reshape {x.shape} to {shape}")
     return Node(_Reshape(shape), (x,), shape)
-
-
-def rows(x: Node, start: int, stop: int) -> Node:
-    """Leading-axis slice x[start:stop]; the whole axis is x itself."""
-    if len(x.shape) < 1 or not 0 <= start < stop <= x.shape[0]:
-        raise GraphError(f"rows [{start}:{stop}] out of range for {x.shape}")
-    if start == 0 and stop == x.shape[0]:
-        return x
-    return Node(_Rows(int(start), int(stop)), (x,),
-                (stop - start,) + x.shape[1:])
-
-
-def concat(parts: Iterable[Node]) -> Node:
-    """Join nodes along the leading axis; a single part is returned as is."""
-    parts = tuple(parts)
-    if not parts or any(len(p.shape) < 1 or p.shape[1:] != parts[0].shape[1:]
-                        for p in parts):
-        raise GraphError("concat expects nodes that differ only in the "
-                         "leading axis")
-    if len(parts) == 1:
-        return parts[0]
-    return Node(_Concat(), parts,
-                (sum(p.shape[0] for p in parts),) + parts[0].shape[1:])
 
 
 # ---------------------------------------------------------------------------

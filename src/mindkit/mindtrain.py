@@ -59,8 +59,9 @@ class MindConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise TrainingError("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise TrainingError(
+                f"lambda must be finite and nonnegative, got {self.lam}")
         if self.similarity not in SIMILARITIES:
             raise TrainingError(f"unknown similarity {self.similarity!r}")
         if self.distance not in DISTANCES:
@@ -104,7 +105,8 @@ def w1_reduced(model: Model, X: np.ndarray, Xp: np.ndarray):
 
 class _Problem:
     """The loss graph of R restarts of one transform family fitted as one
-    stacked problem, cached per batch size.
+    stacked problem, cached per batch size; R is 1 unless the family
+    stacks.
 
     `params` holds the R restarts' parameters, each with a leading restart
     axis. The input stacks the R batches of B rows; the frozen model runs
@@ -120,6 +122,8 @@ class _Problem:
         self.config = config
         self.params = params
         self.restarts = len(next(iter(params.values())))
+        if self.restarts > 1 and not transform.stacks:
+            raise TrainingError(f"{transform.kind} restarts do not stack")
         if config.similarity == "l1_gate_weights" and transform.gate_key is None:
             raise TrainingError(
                 "l1_gate_weights similarity needs a gated transform family")
@@ -133,7 +137,11 @@ class _Problem:
         d, T = self.model.input_dim, self.model.seq_len
         x = dc.leaf("x", (R * B, d) if T is None else (R * B, d, T))
         nodes = {k: dc.leaf(k, v.shape) for k, v in self.params.items()}
-        xp = t.graph(x, nodes, R)
+        if t.stacks:
+            xp = t.graph(x, nodes, R)
+        else:   # the one restart's parameters, without the restart axis
+            xp = t.graph(x, {k: dc.reshape(v, v.shape[1:])
+                             for k, v in nodes.items()})
         f = forward_graph(self.model, xp,
                           param_nodes(self.model, trainable=False))
         fc = dc.leaf("fc", (R * B,))
@@ -199,20 +207,19 @@ def mind_loss(model: Model, transform, X: np.ndarray,
 # training
 # ---------------------------------------------------------------------------
 
-# Restarts fitted together hold at most this many float64 node values in
-# their stacked training graph (512 KiB), estimated as R times the
-# one-restart graph. Stacking pays while a step is dominated by per-node
-# dispatch; it stops paying once the arrays are large. On a 2-vCPU VM
-# with one BLAS thread, an 8-restart MLP gating fit ran 1.7x faster in
-# chunks of 4, while 4 stacked seqconv gating restarts took 1.35-1.49 ms
-# per restart-step against 1.34-1.37 ms alone, and 2.4 MB more peak
-# memory. Measured one-restart graphs and the chunks they give:
+# Restarts of a family that stacks, fitted together, hold at most this
+# many float64 node values in their stacked training graph (512 KiB),
+# estimated as R times the one-restart graph. Stacking pays while a step
+# is dominated by per-node dispatch; it stops paying once the arrays are
+# large. On a 2-vCPU VM with one BLAS thread, an 8-restart MLP gating fit
+# ran 1.7x faster in chunks of 4, while 4 stacked seqconv gating restarts
+# took 1.35-1.49 ms per restart-step against 1.34-1.37 ms alone, and
+# 2.4 MB more peak memory. Measured one-restart gating graphs and the
+# chunks they give:
 #
 #   graph                                  B    values   8 restarts  3
 #   MLP gating (d=14, hidden 16)         100    13,117   4+4         3
 #   seqconv gating (d=6, T=12, hidden 8)  90    62,285   1 each      1 each
-#   seqconv basis gating (chebyshev)      90    75,305   1 each      1 each
-#   seqconv residual                      90   202,709   1 each      1 each
 CHUNK_VALUES = 2 ** 16
 
 
@@ -221,13 +228,7 @@ def restart_chunks(restarts: int, values_per_restart: int) -> list[list[int]]:
     chunks as CHUNK_VALUES allows for graphs of `values_per_restart`."""
     cap = max(1, CHUNK_VALUES // max(1, values_per_restart))
     n_chunks = -(-restarts // cap)
-    size, extra = divmod(restarts, n_chunks)
-    chunks, start = [], 0
-    for c in range(n_chunks):
-        stop = start + size + (c < extra)
-        chunks.append(list(range(start, stop)))
-        start = stop
-    return chunks
+    return [c.tolist() for c in np.array_split(np.arange(restarts), n_chunks)]
 
 
 def _batch_size(config: MindConfig, n_train: int) -> int:
@@ -451,11 +452,21 @@ def _values_per_restart(model: Model, tspec: tf.TransformSpec,
     return sum(math.prod(node.shape) for node in graph.nodes)
 
 
+def _chunks(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
+            config: MindConfig) -> list[list[int]]:
+    """The chunks `multi_restart` fits: one restart each unless the family
+    stacks, else `restart_chunks` of its one-restart graph."""
+    if not tf.TRANSFORMS[tspec.kind].stacks:
+        return [[r] for r in range(config.restarts)]
+    return restart_chunks(config.restarts, _values_per_restart(
+        model, tspec, dataset, config))
+
+
 def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
                   config: MindConfig, threads: int = 1) -> MindResult:
     """R independently seeded fits; aggregate the top_k by validation loss.
 
-    The restarts are fitted in chunks (`restart_chunks`), each chunk as one
+    The restarts are fitted in chunks (`_chunks`), each chunk as one
     stacked problem; with `threads` > 1 a process pool of up to that many
     workers fits the chunks side by side. Scores are the gates for gated
     families and the per-feature correlation profile for the residual
@@ -464,8 +475,7 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     """
     if threads < 1:
         raise TrainingError(f"threads must be at least 1, got {threads}")
-    chunks = restart_chunks(config.restarts, _values_per_restart(
-        model, tspec, dataset, config))
+    chunks = _chunks(model, tspec, dataset, config)
     fit_chunk = functools.partial(_fit_restarts, model, tspec, dataset,
                                   config)
     workers = min(threads, len(chunks))

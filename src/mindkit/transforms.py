@@ -193,11 +193,6 @@ def _array(values) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _slot(p: dc.Node, r: int) -> dc.Node:
-    """Restart r's parameter from a node with a leading restart axis."""
-    return dc.reshape(dc.rows(p, r, r + 1), p.shape[1:])
-
-
 class Transform:
     """What the fitting loop asks of a family; it never asks which one.
 
@@ -206,23 +201,15 @@ class Transform:
     whether it takes sequences only. `params` maps graph parameter names to
     the live arrays; `graph(x, p)` builds x' from the input node and
     parameter nodes (leaves when fitting, constants when applying);
-    `extra(X)` binds any other leaf the graph reads.
+    `extra(X)` binds any other leaf the graph reads. `stacks` says whether
+    restarts fit as one stacked problem, which pays only where the
+    parameters broadcast over the stacked batch: then `graph` also takes
+    `restarts` (see GatingTransform.graph).
     """
 
     gate_key: str | None = None
     seq_only = True
-
-    def graph(self, x: dc.Node, p: dict[str, dc.Node],
-              restarts: int | None = None) -> dc.Node:
-        """x' for the batch x under parameters p.
-
-        With `restarts` R, x stacks R batches of equal size, restart r's
-        rows in block r, and every node in p has a leading axis of length R
-        whose slot r is restart r's parameter; x' stacks the same way.
-        """
-        if restarts is None:
-            p = {k: dc.reshape(v, (1,) + v.shape) for k, v in p.items()}
-        return self._stacked(x, p, restarts or 1)
+    stacks = False
 
     def extra(self, X: np.ndarray) -> dict[str, np.ndarray]:
         return {}
@@ -243,6 +230,7 @@ class GatingTransform(Transform):
     b: np.ndarray
     intercept: bool = True
     kind, gate_key, score_kind, seq_only = "gating", "g", "gates", False
+    stacks = True
 
     @property
     def d(self) -> int:
@@ -252,9 +240,17 @@ class GatingTransform(Transform):
     def params(self) -> dict[str, np.ndarray]:
         return {"g": self.g, "b": self.b} if self.intercept else {"g": self.g}
 
-    def _stacked(self, x: dc.Node, p: dict[str, dc.Node], R: int) -> dc.Node:
+    def graph(self, x: dc.Node, p: dict[str, dc.Node],
+              restarts: int = 1) -> dc.Node:
+        """x' for the batch x under parameters p.
+
+        With `restarts` R, x stacks R batches of equal size, restart r's
+        rows in block r, and every node in p has a leading axis of length R
+        whose slot r is restart r's parameter; x' stacks the same way.
+        """
         # gates (R, 1, d) against rows (R, B, d); a sequence's gate, shaped
         # (R, 1, d, 1), covers all its times
+        R = restarts
         lead = (R, 1, self.d) + (1,) * (len(x.shape) - 2)
         out = dc.mul(dc.reshape(x, (R, x.shape[0] // R) + x.shape[1:]),
                      dc.reshape(p["g"], lead))
@@ -291,23 +287,17 @@ class ResidualTransform(Transform):
     kernel: int = RESIDUAL_KERNEL
     kind, score_kind = "residual", "correlation"
 
-    def _stacked(self, x: dc.Node, p: dict[str, dc.Node], R: int) -> dc.Node:
-        # each restart's convs run on its own rows with its own weights
+    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
         pad = (self.kernel - 1) // 2
-        B = x.shape[0] // R
-        outs = []
-        for r in range(R):
-            w = {k: _slot(v, r) for k, v in p.items()}
-            h = dc.rows(x, r * B, (r + 1) * B)
-            for i in range(self.blocks):
-                inner = dc.conv1d(h, w[f"block{i}_conv1_w"], padding=pad)
-                inner = dc.relu(dc.normalize(inner))
-                inner = dc.conv1d(inner, w[f"block{i}_conv2_w"], padding=pad)
-                inner = dc.add(inner, dc.reshape(w[f"block{i}_conv2_b"],
-                                                 (self.d, 1)))
-                h = dc.add(h, inner)
-            outs.append(h)
-        return dc.concat(outs)
+        h = x
+        for i in range(self.blocks):
+            inner = dc.conv1d(h, p[f"block{i}_conv1_w"], padding=pad)
+            inner = dc.relu(dc.normalize(inner))
+            inner = dc.conv1d(inner, p[f"block{i}_conv2_w"], padding=pad)
+            inner = dc.add(inner, dc.reshape(p[f"block{i}_conv2_b"],
+                                             (self.d, 1)))
+            h = dc.add(h, inner)
+        return h
 
     @classmethod
     def init(cls, spec, d, seq_len, rng):
@@ -366,21 +356,14 @@ class BasisGatingTransform(Transform):
     def extra(self, X: np.ndarray) -> dict[str, np.ndarray]:
         return {"z": gating_channels(self.basis, X)}
 
-    def _stacked(self, x: dc.Node, p: dict[str, dc.Node], R: int) -> dc.Node:
-        """Gate the channel stack z with a grouped kernel-1 convolution,
-        one per restart."""
+    def graph(self, x: dc.Node, p: dict[str, dc.Node]) -> dc.Node:
+        """Gate the channel stack z with a grouped kernel-1 convolution."""
         d, C = self.d, self.basis.n_channels
-        B = x.shape[0] // R
         z = dc.leaf("z", (x.shape[0], d * C, x.shape[2]))
-        outs = []
-        for r in range(R):
-            out = dc.conv1d(dc.rows(z, r * B, (r + 1) * B),
-                            dc.reshape(_slot(p["gates"], r), (d, C, 1)),
-                            groups=d)
-            if "b" in p:
-                out = dc.add(out, dc.reshape(_slot(p["b"], r), (d, 1)))
-            outs.append(out)
-        return dc.concat(outs)
+        out = dc.conv1d(z, dc.reshape(p["gates"], (d, C, 1)), groups=d)
+        if "b" in p:
+            out = dc.add(out, dc.reshape(p["b"], (d, 1)))
+        return out
 
     @classmethod
     def init(cls, spec, d, seq_len, rng):
@@ -465,17 +448,6 @@ def apply_transform(t, X: np.ndarray, seq: bool | None = None) -> np.ndarray:
                   {k: dc.constant(v) for k, v in t.params.items()})
     val = dc.Graph(out).evaluate({"x": Xb, **t.extra(Xb)})
     return val[0] if single else val
-
-
-def clamp_gates(t):
-    """Project the gate parameter onto [0, 1] in place; returns t.
-
-    Intercepts and residual convolution weights are left untouched.
-    """
-    if t.gate_key is not None:
-        gates = t.params[t.gate_key]
-        np.copyto(gates, clip01(gates))
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,9 @@ class TestClosedFormGating:
         with pytest.raises(AnalysisError, match="semidefinite"):
             ClosedFormInputs(np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
                              0.1)
-        with pytest.raises(AnalysisError, match="nonnegative"):
-            ClosedFormInputs(np.ones(2), np.eye(2), -0.5)
+        for lam in (-0.5, float("inf"), float("nan")):
+            with pytest.raises(AnalysisError, match="finite and nonnegative"):
+                ClosedFormInputs(np.ones(2), np.eye(2), lam)
 
     def test_second_moment_matches_definition(self):
         X = np.random.default_rng(0).normal(size=(50, 3))
@@ -428,6 +429,16 @@ class TestSanityHarness:
         assert outs[0].failures == 2
         assert outs[0].rhos == []
         assert np.isnan(outs[0].rho_mean)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_refits_rejected(self, count):
+        # zero refits would report every rho as undefined
+        m, ds = tiny_problem()
+        args = (m, TransformSpec("gating"), ds, MindConfig(), np.ones(4))
+        with pytest.raises(AnalysisError, match="shuffles must be at least"):
+            sanity_check(*args, shuffles=count)
+        with pytest.raises(AnalysisError, match="instances must be at least"):
+            restart_baseline(*args, instances=count)
 
     def test_baseline_on_intact_model_is_perfectly_ranked(self, monkeypatch):
         m, ds = tiny_problem()

@@ -132,6 +132,17 @@ class TestOracle:
                                "oracle")
         assert "--moment-csv" in doc["message"]
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-inf"])
+    def test_non_finite_lambda_is_a_structured_error(self, tmp_path, capsys,
+                                                     lam):
+        doc = structured_error(capsys, ["oracle", "--beta", "1,2",
+                                        f"--lam={lam}",
+                                        "--out", str(tmp_path / "o")],
+                               "oracle")
+        assert doc["error"] == "AnalysisError"
+        assert "finite" in doc["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--help"])
@@ -185,6 +196,18 @@ def test_cli_import_skips_scipy():
         capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("shuffles", ["0", "-1"])
+def test_shuffles_below_one_is_a_usage_error(shuffles, capsys):
+    assert main(["sanity-check", "--data", "d.csv", "--model", "m.json",
+                 "--report", "r.json", f"--shuffles={shuffles}",
+                 "--out", "o"]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert validate_artifact(doc) == "mindkit.error/1"
+    assert "--shuffles" in doc["message"] and "positive" in doc["message"]
 
 
 @pytest.mark.parametrize("command", ["train-transform", "sanity-check"])
@@ -295,6 +318,26 @@ class TestTransformPipeline:
                 "--out", str(tmp_path / "o")])
         assert "failed [1: synthetic failure]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("damage", [
+        lambda m: m["score_mean"].pop(),
+        lambda m: m["correlation_std"].append(0.5),
+        lambda m: m.update(channels={"names": ["a", "b"],
+                                     "score_mean": [[1.0, 1.0]] * 5,
+                                     "score_std": [[0.0]] * 5}),
+    ], ids=["short score_mean", "long correlation_std", "ragged channels"])
+    def test_score_rejects_lists_not_matching_features(self, pipeline,
+                                                       tmp_path, capsys,
+                                                       damage):
+        manifest = read(pipeline["manifest"])
+        damage(manifest)
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        doc = structured_error(capsys, ["score", "--manifest", str(bad),
+                                        "--out", str(tmp_path / "o")],
+                               "score")
+        assert doc["error"] == "DataError"
+        assert "one score per feature" in doc["message"]
+
     def test_transform_checkpoint_validates(self, pipeline):
         doc = read(pipeline["root"] / "transform" / "transform.json")
         assert validate_artifact(doc) == "mindkit.transform/1"
@@ -348,6 +391,30 @@ class TestMalformedInputs:
         assert doc["error"] == "TrainingError"
         assert "batch_size" in doc["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_non_finite_lambda(self, pipeline, tmp_path, capsys):
+        # --lam inf once failed every restart behind a numpy warning
+        doc = self._one_error_line(capsys, self._train_transform(
+            pipeline, tmp_path, pipeline["mind_cfg"]) + ["--lam", "inf"])
+        assert doc["error"] == "TrainingError"
+        assert "lambda must be finite" in doc["message"]
+        cfg = tmp_path / "mind.json"
+        cfg.write_text('{"lam": NaN}')
+        doc = self._one_error_line(
+            capsys, self._train_transform(pipeline, tmp_path, cfg))
+        assert "lambda must be finite" in doc["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sidecar", [
+        '[1, 2]', '{"splits": {"train": 5}}', '{"splits": [1]}'])
+    def test_malformed_sidecar(self, pipeline, tmp_path, capsys, sidecar):
+        side = tmp_path / "side.json"
+        side.write_text(sidecar)
+        doc = self._one_error_line(capsys, self._train_transform(
+            pipeline, tmp_path, pipeline["mind_cfg"])
+            + ["--sidecar", str(side)])
+        assert doc["error"] == "DataError"
+        assert "sidecar" in doc["message"]
 
     def test_model_checkpoint_without_params(self, pipeline, tmp_path,
                                              capsys):

@@ -148,6 +148,17 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="expected 4 fields"):
             load_dataset(path, side)
 
+    @pytest.mark.parametrize("sidecar", [
+        '[1, 2]', '{"splits": {"train": 5}}', '{"splits": [1]}',
+        '{"splits": {"train": [["i0"]]}}'])
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "d.csv"
+        path.write_text("instance_id,a,label\ni0,1.0,1\n")
+        side = tmp_path / "d.sidecar.json"
+        side.write_text(sidecar)
+        with pytest.raises(DataError, match="sidecar"):
+            load_dataset(path, side)
+
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("instance_id,a,label\ni0,oops,1\n")

@@ -152,6 +152,20 @@ class TestGradientValues:
         np.testing.assert_array_equal(grads["z"], np.zeros(2))
         assert grads["z"].shape == (2,)
 
+    def test_seed_gives_the_gradient_of_the_weighted_sum(self):
+        x = dc.leaf("x", (3, 2))
+        per_row = dc.mean(dc.mul(x, x), axis=1)
+        X = np.random.default_rng(12).normal(size=(3, 2))
+        seed = np.array([1.0, 2.0, -0.5])
+        val, grads = dc.Graph(per_row).value_and_grad(
+            {"x": X}, wrt=["x"], seed=seed)
+        np.testing.assert_array_equal(val, (X * X).mean(axis=1))
+        np.testing.assert_allclose(grads["x"], seed[:, None] * X,
+                                   rtol=1e-15)
+        with pytest.raises(GraphError, match="seed shape"):
+            dc.Graph(per_row).value_and_grad({"x": X}, wrt=["x"],
+                                             seed=np.ones(2))
+
 
 class TestCosine:
     def _cos(self, a_val, b_val):
@@ -268,58 +282,6 @@ def _seq_block(x, w):
     return dc.normalize(h)
 
 
-class TestRowsAndConcat:
-    """Leading-axis slice and concatenation, which stacked restarts use."""
-
-    def test_forward_values(self):
-        x = dc.leaf("x", (5, 2))
-        X = np.arange(10.0).reshape(5, 2)
-        g = dc.Graph(dc.concat([dc.rows(x, 3, 5), dc.rows(x, 0, 2)]))
-        np.testing.assert_array_equal(g.evaluate({"x": X}),
-                                      np.concatenate([X[3:5], X[0:2]]))
-
-    def test_whole_range_and_single_part_are_the_node_itself(self):
-        x = dc.leaf("x", (4, 3))
-        assert dc.rows(x, 0, 4) is x
-        assert dc.concat([x]) is x
-
-    def test_gradients_match_finite_differences(self):
-        # overlapping slices of one leaf, a slice of another, each
-        # weighted differently, so every gradient path is distinct
-        rng = np.random.default_rng(11)
-        a, b = dc.leaf("a", (5, 2, 3)), dc.leaf("b", (2, 2, 3))
-        w = dc.constant(rng.normal(size=(6, 2, 3)))
-        joined = dc.concat([dc.rows(a, 1, 4), dc.rows(a, 0, 2),
-                            dc.rows(b, 1, 2)])
-        graph = dc.Graph(dc.sum_(dc.mul(dc.mul(joined, joined), w)))
-        binds = {"a": rng.normal(size=(5, 2, 3)),
-                 "b": rng.normal(size=(2, 2, 3))}
-        assert_grads_match(graph, binds, ["a", "b"])
-
-    def test_out_of_range_and_mismatched_parts_rejected(self):
-        x, y = dc.leaf("x", (4, 3)), dc.leaf("y", (2, 2))
-        with pytest.raises(GraphError):
-            dc.rows(x, 2, 5)
-        with pytest.raises(GraphError):
-            dc.rows(x, 2, 2)
-        with pytest.raises(GraphError):
-            dc.concat([x, y])
-
-    def test_seed_gives_the_gradient_of_the_weighted_sum(self):
-        x = dc.leaf("x", (3, 2))
-        per_row = dc.mean(dc.mul(x, x), axis=1)
-        X = np.random.default_rng(12).normal(size=(3, 2))
-        seed = np.array([1.0, 2.0, -0.5])
-        val, grads = dc.Graph(per_row).value_and_grad(
-            {"x": X}, wrt=["x"], seed=seed)
-        np.testing.assert_array_equal(val, (X * X).mean(axis=1))
-        np.testing.assert_allclose(grads["x"], seed[:, None] * X,
-                                   rtol=1e-15)
-        with pytest.raises(GraphError, match="seed shape"):
-            dc.Graph(per_row).value_and_grad({"x": X}, wrt=["x"],
-                                             seed=np.ones(2))
-
-
 class TestSavedValues:
     """Forward sweeps hand saved values to their own reverse sweep only."""
 
@@ -367,8 +329,10 @@ class TestSavedValues:
         "gelu": lambda x, w: dc.gelu(TestSavedValues._conv(x, w)),
         "reshape of gelu": lambda x, w: dc.reshape(
             dc.gelu(TestSavedValues._conv(x, w)), (3, 35)),
-        "rows of conv": lambda x, w: dc.rows(TestSavedValues._conv(x, w),
-                                             1, 3),
+        # a view of one conv output, read after a second conv of its size
+        "reshape of conv": lambda x, w: dc.add(
+            dc.reshape(TestSavedValues._conv(dc.scale(x, 2.0), w), (15, 7)),
+            dc.reshape(TestSavedValues._conv(x, w), (15, 7))),
         "relu of normalize": lambda x, w: dc.relu(dc.normalize(
             TestSavedValues._conv(x, w), axis=1)),
         # the view is made first and read last, after a GeLU of its size
@@ -401,22 +365,26 @@ class TestSavedValues:
             np.testing.assert_array_equal(grads[name], want[name])
 
     def test_leaf_gradient_reached_through_views_survives(self, pooled):
-        # the gelu VJP writes a graph buffer; reshape and concat hand the
-        # leaves views of it
+        # the gelu VJPs write graph buffers, and reshape hands leaf a a
+        # view of one; the value reads the first gelu through a view made
+        # before the second gelu runs
         def graph():
-            a, b = dc.leaf("a", (2, 4, 7)), dc.leaf("b", (1, 4, 7))
-            joined = dc.reshape(dc.concat([a, b]), (3, 28))
-            return dc.Graph(dc.sum_(dc.gelu(joined)))
+            a, b = dc.leaf("a", (3, 4, 7)), dc.leaf("b", (3, 4, 7))
+            first = dc.gelu(dc.reshape(a, (3, 28)))
+            return dc.Graph(dc.sum_(dc.mul(
+                dc.gelu(b), dc.reshape(first, (3, 4, 7)))))
 
         rng = np.random.default_rng(5)
-        first = {"a": rng.normal(size=(2, 4, 7)),
-                 "b": rng.normal(size=(1, 4, 7))}
+        first = {"a": rng.normal(size=(3, 4, 7)),
+                 "b": rng.normal(size=(3, 4, 7))}
         second = {k: rng.normal(size=v.shape) for k, v in first.items()}
         g = graph()
+        value = g.evaluate(first)
         _, grads = g.value_and_grad(first, wrt=["a", "b"])
         g.value_and_grad(second, wrt=["a", "b"])
-        _, want = self._unpooled(
+        want_val, want = self._unpooled(
             lambda: graph().value_and_grad(first, wrt=["a", "b"]))
+        assert value == want_val
         for name in ("a", "b"):
             np.testing.assert_array_equal(grads[name], want[name])
 
@@ -450,25 +418,29 @@ class TestSavedValues:
         for v in t.params.values():  # leave the identity start
             v += np.random.default_rng(4).normal(scale=0.1, size=v.shape)
         cfg = MindConfig(lam=0.1, similarity="cosine")
-        params = {k: np.stack([v, 2 * v]) for k, v in t.params.items()}
+        params = {k: v[None] for k, v in t.params.items()}
 
         def problem():
             return _Problem(model, t, cfg, params)
 
         rng = np.random.default_rng(6)
-        X = rng.normal(size=(22, 3, 8))
-        fc = rng.uniform(size=22)
-        train, val = slice(0, 10), slice(10, 22)
+        X = rng.normal(size=(11, 3, 8))
+        fc = rng.uniform(size=11)
+        train, val = slice(0, 5), slice(5, 11)
         shared = problem()
+        got, wanted = [], []
         for step in range(3):
             X[train] += 0.1
-            loss, grads = shared.value_and_grad(X[train], fc[train], {})
-            val_loss = shared.loss(X[val], fc[val], {})
-            want_loss, want = self._unpooled(
-                lambda: problem().value_and_grad(X[train], fc[train], {}))
+            got.append((*shared.value_and_grad(X[train], fc[train], {}),
+                        shared.loss(X[val], fc[val], {})))
+            wanted.append((*self._unpooled(lambda: problem().value_and_grad(
+                X[train], fc[train], {})), self._unpooled(
+                lambda: problem().loss(X[val], fc[val], {}))))
+        # every step's results are checked after the later steps' sweeps
+        for (loss, grads, val_loss), (want_loss, want, want_val) in zip(
+                got, wanted):
             np.testing.assert_array_equal(loss, want_loss)
-            np.testing.assert_array_equal(val_loss, self._unpooled(
-                lambda: problem().loss(X[val], fc[val], {})))
+            np.testing.assert_array_equal(val_loss, want_val)
             for name in params:
                 np.testing.assert_array_equal(grads[name], want[name])
 

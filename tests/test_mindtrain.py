@@ -1,5 +1,6 @@
 """Invariance-mining objective, its optimizer, lambda tuning, restarts."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from mindkit.mindtrain import (MindConfig, MindResult, lambda_grid, mind_loss,
                                multi_restart, train_transform, tune_lambda,
                                w1_reduced)
 from mindkit.models import Model, build_model
-from mindkit.transforms import (GatingTransform, TransformSpec, make_basis)
+from mindkit.transforms import (GatingTransform, TransformSpec,
+                                init_transform, make_basis)
 
 
 def classifier_dataset(n=160, d=3, seed=0, labels=None):
@@ -606,8 +608,7 @@ class TestStackedRestarts:
         single = multi_restart(m, TransformSpec("gating"), ds, cfg)
         self._assert_close(stacked, single)
 
-    def test_seqconv_residual_stack_matches_chunks_of_one(self,
-                                                          monkeypatch):
+    def test_seqconv_gating_stack_matches_chunks_of_one(self, monkeypatch):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((60, 2, 8))
         y = (X.mean(axis=(1, 2)) > 0).astype(float)
@@ -616,9 +617,9 @@ class TestStackedRestarts:
         m = build_model("seqconv", 2, seq_len=8, hidden=(4,), seed=7)
         cfg = MindConfig(lam=0.1, restarts=3, top_k=3, max_epochs=10,
                          seed=9)
-        spec = TransformSpec("residual")
-        assert len(mt.restart_chunks(3, mt._values_per_restart(
-            m, spec, ds, cfg))) == 1  # the budget lets this graph stack
+        spec = TransformSpec("gating")
+        # the budget lets this graph stack
+        assert mt._chunks(m, spec, ds, cfg) == [[0, 1, 2]]
         stacked = multi_restart(m, spec, ds, cfg)
         self._chunks_of_one(monkeypatch)
         single = multi_restart(m, spec, ds, cfg)
@@ -643,8 +644,8 @@ class TestStackedRestarts:
         (8, 13_117, [4, 4]),     # MLP gating, d=14, hidden 16, B=100
         (3, 13_117, [3]),        # the same graph in a sanity refit
         (8, 62_285, [1] * 8),    # seqconv gating, d=6, T=12, B=90
-        (8, 75_305, [1] * 8),    # seqconv basis gating (chebyshev)
-        (8, 202_709, [1] * 8),   # seqconv residual
+        (8, 75_305, [1] * 8),    # graphs of seqconv basis gating's and
+        (8, 202_709, [1] * 8),   # the residual net's size
         (3, 62_285, [1] * 3),
     ])
     def test_chunk_sizes_for_the_measured_graphs(self, restarts, values,
@@ -663,7 +664,36 @@ class TestStackedRestarts:
         cfg = MindConfig(similarity="inner_product", seed=1)
         values = mt._values_per_restart(m, TransformSpec("gating"), ds, cfg)
         assert values == 13_117
-        assert [len(c) for c in mt.restart_chunks(8, values)] == [4, 4]
+        for restarts, sizes in ((8, [4, 4]), (3, [3]), (1, [1])):
+            chunks = mt._chunks(m, TransformSpec("gating"), ds,
+                                MindConfig(similarity="inner_product", seed=1,
+                                           restarts=restarts, top_k=1))
+            assert [len(c) for c in chunks] == sizes
+
+    @pytest.mark.parametrize("spec", [
+        TransformSpec("residual"),
+        TransformSpec("basis", basis=make_basis("pulse", 6, 3))],
+        ids=["residual", "basis"])
+    def test_only_gating_restarts_stack(self, spec, monkeypatch):
+        # the seq graph of the CLI tests: n=200, d=3, T=6, hidden 4
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((200, 3, 6))
+        ds = from_arrays(X, (X[:, 0].mean(axis=1) > 0).astype(float),
+                         {"train": np.arange(150),
+                          "validation": np.arange(150, 200)})
+        m = build_model("seqconv", 3, seq_len=6, hidden=(4,), seed=4)
+        cfg = MindConfig(restarts=2, top_k=2)
+        # small enough that the budget would stack both restarts
+        assert 2 * mt._values_per_restart(m, spec, ds, cfg) <= \
+            mt.CHUNK_VALUES
+        monkeypatch.setattr(mt, "_values_per_restart", None)  # not sized
+        assert mt._chunks(m, spec, ds, cfg) == [[0], [1]]
+        assert mt._chunks(m, spec, ds, replace(cfg, restarts=8)) == \
+            [[r] for r in range(8)]
+        t = init_transform(spec, 3, 6, rng)
+        with pytest.raises(TrainingError, match="do not stack"):
+            mt._Problem(m, t, cfg, {k: np.stack([v, v])
+                                    for k, v in t.params.items()})
 
     def _recording_pool(self, monkeypatch):
         """ProcessPoolExecutor stand-in that runs in-process and records
@@ -733,6 +763,8 @@ class TestConfigValidation:
         {"max_epochs": 0},
         {"batch_size": 0},
         {"batch_size": -5},
+        {"lam": float("inf")},
+        {"lam": float("nan")},
     ])
     def test_bad_configs_rejected(self, kw):
         with pytest.raises(TrainingError):

@@ -6,7 +6,7 @@ import mindkit.diffcore as dc
 from mindkit.errors import DataError, GraphError
 from mindkit.transforms import (BasisGatingTransform, BasisSet,
                                 GatingTransform, ResidualTransform,
-                                TransformSpec, apply_transform, clamp_gates,
+                                TransformSpec, apply_transform,
                                 clip01, decode, encode, gating_channels,
                                 init_transform, load_transform, make_basis,
                                 save_transform, window_split)
@@ -273,26 +273,6 @@ class TestClamp:
             grid = rng.random((200, 4))  # random feasible points
             dists = np.linalg.norm(grid - v, axis=1)
             assert np.linalg.norm(p - v) <= dists.min() + 1e-12
-
-    def test_clamps_in_place_and_returns_transform(self):
-        t = GatingTransform(np.array([1.7, -0.4, 0.6]), np.array([9.0, 9.0, 9.0]))
-        out = clamp_gates(t)
-        assert out is t
-        np.testing.assert_array_equal(t.g, [1.0, 0.0, 0.6])
-        np.testing.assert_array_equal(t.b, [9.0, 9.0, 9.0])  # untouched
-
-    def test_clamps_basis_gates(self):
-        t = BasisGatingTransform(np.array([[2.0, -1.0], [0.3, 0.9]]),
-                                 np.zeros(2), make_basis("pulse", 4, 2))
-        clamp_gates(t)
-        np.testing.assert_array_equal(t.gates, [[1.0, 0.0], [0.3, 0.9]])
-
-    def test_residual_transform_passes_through(self):
-        t = init_transform(TransformSpec(kind="residual"), 2, 6, rng_for(19))
-        before = {k: v.copy() for k, v in t.params.items()}
-        clamp_gates(t)
-        for k in before:
-            np.testing.assert_array_equal(t.params[k], before[k])
 
 
 class TestInitAndCheckpoints:

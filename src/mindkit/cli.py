@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output distribution (default: by task)")
     p.add_argument("--hidden", default=None,
                    help="comma-separated hidden sizes")
-    p.add_argument("--kernel-size", type=int, default=3)
+    p.add_argument("--kernel-size", type=_positive_int, default=3)
     p.add_argument("--config", default=None, help="TrainConfig JSON")
     p.add_argument("--adversarial", action="store_true",
                    help="train with projected-gradient input perturbations")

@@ -8,12 +8,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_finite
 
 SPLIT_NAMES = ("train", "validation", "test")
 
@@ -245,6 +246,17 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.n < 3 or self.d < 1:
             raise DataError("need n >= 3 and d >= 1")
+        require_finite(self, DataError)
+        if self.beta is not None and not all(map(math.isfinite, self.beta)):
+            raise DataError(f"beta must be finite, got {list(self.beta)}")
+        if self.strong_lo > self.strong_hi:
+            raise DataError("strong_lo must not exceed strong_hi")
+        if self.label_noise < 0:
+            raise DataError("label_noise must be nonnegative")
+        if not all(0.0 <= f <= 1.0 for f in self.split_fracs) \
+                or math.fsum(self.split_fracs) > 1.0:
+            raise DataError("split_fracs must lie in [0, 1] and sum to at "
+                            f"most 1, got {list(self.split_fracs)}")
         for j in self.planted:
             if not 0 <= j < self.d:
                 raise DataError(f"planted index {j} out of range")

@@ -8,6 +8,7 @@ Evaluation is pure: identical bindings give bit-identical results.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -77,10 +78,8 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # sweep (None otherwise). An op whose class sets `buffered = True` takes every
 # large array it writes, scratch included, from the `empty` keyword of both
 # methods, which the graph points at its own buffers (np.empty by default).
-# An op whose class sets `views = True` may return a view of its first input
-# from forward (only reshape does); no other forward returns memory of its
-# inputs, and no vjp returns memory of a forward value. Ops are stateless:
-# nothing is written to an op during a sweep, so graphs may share nodes.
+# Ops are stateless: nothing is written to an op during a sweep, so graphs
+# may share nodes.
 # ---------------------------------------------------------------------------
 
 
@@ -451,8 +450,6 @@ class _BceLogits:
 
 
 class _Reshape:
-    views = True
-
     def __init__(self, shape):
         self.shape = tuple(shape)
 
@@ -658,70 +655,48 @@ def _topo(output: Node) -> list[Node]:
 # Smaller ones come from malloc's heap, which is cheaper than bookkeeping,
 # and so do all the arrays of a graph none of whose nodes is this large.
 POOL_MIN_VALUES = 2 ** 14
-_GRADS = -1     # the owner key of the gradient buffers of a reverse sweep
 
 
-def _base(a: np.ndarray) -> np.ndarray:
-    """The array that owns the memory `a` views."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
+def _idle_refs() -> int:
+    """sys.getrefcount of a pooled buffer that nothing else refers to, read
+    in the loop shape of _Buffers.empty (the count depends on the CPython
+    version, which may borrow the loop's references)."""
+    bufs = [np.empty(1)]
+    for buf in bufs:
+        return sys.getrefcount(buf)
+
+
+_IDLE_REFS = _idle_refs()
 
 
 class _Buffers:
     """The large arrays of one graph's sweeps, kept from sweep to sweep.
 
-    Ops take them through `empty`. After a buffered op call, `keep` files
-    the buffers that the returned arrays live in under an owner, a node
-    index or _GRADS, and frees the op's scratch at once. The sweep frees an
-    owner's buffers once no later step reads them, so values that are never
-    live at the same time share memory (Chen et al., 2016). Gradients keep
-    theirs until the next sweep starts.
+    Ops take them through `empty`. A buffer is handed out again once
+    nothing but this pool refers to it: every array made from one (a view,
+    saved columns, a gradient) holds a reference to it, so a live array is
+    never overwritten, and values that are never live at the same time
+    share memory (Chen et al., 2016). The sweeps drop each array after its
+    last use.
     """
 
     def __init__(self):
-        self.free: dict[int, list[np.ndarray]] = {}
-        self.ids: set[int] = set()           # every buffer made here
-        self.taken: list[np.ndarray] = []    # by the op call under way
-        self.owned: dict[int, list[np.ndarray]] = {}
+        self.bufs: list[np.ndarray] = []
 
     def empty(self, shape) -> np.ndarray:
         n = math.prod(shape)
         if n < POOL_MIN_VALUES:
             return np.empty(shape)
-        stack = self.free.get(n)
-        if stack:
-            buf = stack.pop()
-        else:
-            buf = np.empty(n)
-            self.ids.add(id(buf))
-        self.taken.append(buf)
+        for buf in self.bufs:
+            if buf.size == n and sys.getrefcount(buf) == _IDLE_REFS:
+                return buf.reshape(shape)
+        buf = np.empty(n)
+        self.bufs.append(buf)
         return buf.reshape(shape)
-
-    def keep(self, owner: int, arrays) -> None:
-        if not self.taken:
-            return
-        roots = [id(_base(a)) for a in arrays if a is not None]
-        for buf in self.taken:
-            if id(buf) in roots:
-                self.owned.setdefault(owner, []).append(buf)
-            else:
-                self.free.setdefault(buf.size, []).append(buf)
-        self.taken.clear()
-
-    def release(self, owner: int) -> None:
-        for buf in self.owned.pop(owner, ()):
-            self.free.setdefault(buf.size, []).append(buf)
-
-    def reset(self) -> None:
-        """Free every buffer; a sweep starts from here."""
-        for owner in list(self.owned):
-            self.release(owner)
-        self.keep(_GRADS, ())   # scratch left by an op that raised
 
     def escape(self, a):
         """`a`, copied if it lives in one of the buffers."""
-        if self.ids and id(_base(a)) in self.ids:
+        if any(a.base is buf for buf in self.bufs):
             return np.array(a, order="C")
         return a
 
@@ -729,9 +704,7 @@ class _Buffers:
         """a + b for two gradients of one node."""
         if a.shape != b.shape:
             return a + b
-        out = np.add(a, b, out=self.empty(a.shape))
-        self.keep(_GRADS, (out,))
-        return out
+        return np.add(a, b, out=self.empty(a.shape))
 
 
 class Graph:
@@ -756,32 +729,22 @@ class Graph:
         large = any(math.prod(n.shape) >= POOL_MIN_VALUES for n in self.nodes)
         self._buffered = [large and getattr(n.op, "buffered", False)
                           for n in self.nodes]
-        # An evaluate sweep frees the buffers a buffered node's value lives
-        # in after the last step that reads it, or a view of it; never the
-        # output's.
-        self._frees: list[list[int]] = [[] for _ in self.nodes]
+        # An evaluate sweep of a graph that takes buffers drops each value
+        # but the output's after the last step that reads it.
+        self._drops: list[list[int]] = [[] for _ in self.nodes]
         if large:
-            store: list[int] = []
-            for i, n in enumerate(self.nodes):
-                views = getattr(n.op, "views", False)
-                store.append(store[self._pidx[i][0]] if views else i)
-            last = {store[j]: i for i, pv in enumerate(self._pidx)
-                    for j in pv}
-            last.pop(store[-1], None)
-            for owner, i in last.items():
-                if self._buffered[owner]:
-                    self._frees[i].append(owner)
+            last = {j: i for i, pv in enumerate(self._pidx) for j in pv}
+            for j, i in last.items():
+                self._drops[i].append(j)
 
     # -- forward ------------------------------------------------------------
 
-    def _forward(self, bindings: Mapping[str, np.ndarray], keep: bool
+    def _forward(self, bindings: Mapping[str, np.ndarray], reverse: bool
                  ) -> tuple[list, list]:
         """Node values plus, parallel to them, what each op saved for its
-        VJP in this sweep (None where an op saves nothing). With `keep`
-        false, nothing saved is kept and the values of buffered nodes are
-        dropped after their last reader."""
-        bufs = self._bufs
-        bufs.reset()
+        VJP in this sweep (None where an op saves nothing). With `reverse`
+        false (no reverse sweep follows), nothing saved is kept and each
+        value but the output's is dropped after its last reader."""
         vals: list = [None] * len(self.nodes)
         saved: list = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
@@ -797,21 +760,18 @@ class Graph:
                 vals[i] = node.value
             else:
                 xs = [vals[j] for j in self._pidx[i]]
+                if not reverse:
+                    for j in self._drops[i]:
+                        vals[j] = None
                 if self._buffered[i]:
-                    out = node.op.forward(*xs, empty=bufs.empty)
+                    vals[i] = node.op.forward(*xs, empty=self._bufs.empty)
                 else:
-                    out = node.op.forward(*xs)
-                if self._saves[i]:
-                    out, s = out
-                    if keep:
-                        saved[i] = s
-                vals[i] = out
-                if self._buffered[i]:
-                    bufs.keep(i, (out, saved[i]))
-            if not keep:
-                for owner in self._frees[i]:
-                    bufs.release(owner)
-                    vals[owner] = None
+                    vals[i] = node.op.forward(*xs)
+                xs = None
+                if self._saves[i]:  # forward returned (value, saved)
+                    vals[i], saved[i] = vals[i]
+                    if not reverse:
+                        saved[i] = None
         return vals, saved
 
     def evaluate(self, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -860,25 +820,27 @@ class Graph:
         grads: list = [None] * len(self.nodes)
         grads[-1] = np.asarray(seed, dtype=np.float64)
         for i in range(len(self.nodes) - 1, -1, -1):
-            node, g = self.nodes[i], grads[i]
-            if g is None or node.op is None:
+            # Every reader of node i has run its VJP, so once node i's own
+            # has run, its value, saved arrays and gradient are dead (a
+            # leaf's gradient is a result).
+            op, pv = self.nodes[i].op, self._pidx[i]
+            if op is None or grads[i] is None:
+                vals[i] = saved[i] = None
                 continue
-            pv = self._pidx[i]
             needs = tuple(needed[j] for j in pv)
-            if not any(needs):
-                continue
-            args = g, vals[i], tuple(vals[j] for j in pv), needs, saved[i]
+            args = (grads[i], vals[i], tuple(vals[j] for j in pv), needs,
+                    saved[i])
+            vals[i] = saved[i] = grads[i] = None
             if self._buffered[i]:
-                parts = node.op.vjp(*args, empty=bufs.empty)
-                bufs.keep(_GRADS, parts)
-                # every reader of node i has run its VJP: its buffers are free
-                bufs.release(i)
+                parts = op.vjp(*args, empty=bufs.empty)
             else:
-                parts = node.op.vjp(*args)
+                parts = op.vjp(*args)
+            args = None
             for j, part in zip(pv, parts):
-                if part is None or not needed[j]:
-                    continue
-                grads[j] = part if grads[j] is None else bufs.add(grads[j], part)
+                if part is not None and needed[j]:
+                    grads[j] = (part if grads[j] is None
+                                else bufs.add(grads[j], part))
+            parts = part = None
         out: dict[str, np.ndarray] = {}
         for name in wrt:
             node = self.leaves.get(name)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the finiteness check
+that every config dataclass runs on its float fields."""
+import dataclasses
+import math
 
 
 class MindkitError(Exception):
@@ -19,3 +22,12 @@ class TrainingError(MindkitError):
 
 class AnalysisError(MindkitError):
     """Degenerate input to a statistical or closed-form routine."""
+
+
+def require_finite(config, error: type[MindkitError]) -> None:
+    """Raise `error` if a float field of dataclass `config` is NaN or
+    infinite (JSON configs may hold NaN and Infinity)."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")

@@ -27,7 +27,7 @@ from . import analysis
 from . import diffcore as dc
 from . import transforms as tf
 from .data import Dataset, substream
-from .errors import GraphError, TrainingError
+from .errors import GraphError, TrainingError, require_finite
 from .models import Model, OUTPUT_KINDS, forward_graph, param_nodes, predict
 from .optim import Adam, PlateauSchedule, Run, fit_stack
 
@@ -62,6 +62,7 @@ class MindConfig:
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise TrainingError(
                 f"lambda must be finite and nonnegative, got {self.lam}")
+        require_finite(self, TrainingError)
         if self.similarity not in SIMILARITIES:
             raise TrainingError(f"unknown similarity {self.similarity!r}")
         if self.distance not in DISTANCES:
@@ -70,8 +71,11 @@ class MindConfig:
             raise TrainingError("need 1 <= top_k <= restarts")
         if self.w1_limit <= 0 or self.cosine_limit <= 0:
             raise TrainingError("limits must be positive")
-        if self.lr <= 0 or self.max_epochs < 1:
-            raise TrainingError("lr and max_epochs must be positive")
+        if self.lr <= 0 or self.max_epochs < 1 or self.patience < 1:
+            raise TrainingError("lr, max_epochs and patience must be positive")
+        if min(self.min_delta, self.lr_floor, self.weight_decay) < 0:
+            raise TrainingError(
+                "min_delta, lr_floor and weight_decay must be nonnegative")
         if self.batch_size is not None and self.batch_size < 1:
             raise TrainingError("batch_size must be positive, or null for "
                                 "the default")

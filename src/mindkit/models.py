@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .data import Dataset, substream
-from .errors import DataError, GraphError, TrainingError
+from .errors import DataError, GraphError, TrainingError, require_finite
 from .optim import Adam, PlateauSchedule, fit
 from .schemas import validate_artifact
 
@@ -71,10 +71,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise TrainingError("lr, batch_size, and max_epochs must be positive")
+        require_finite(self, TrainingError)
+        if self.lr <= 0 or min(self.batch_size, self.max_epochs,
+                               self.patience) < 1:
+            raise TrainingError(
+                "lr, batch_size, max_epochs and patience must be positive")
+        if min(self.min_delta, self.lr_floor) < 0:
+            raise TrainingError("min_delta and lr_floor must be nonnegative")
         if self.pgd_eps < 0 or self.pgd_iters < 1:
             raise TrainingError("pgd_eps must be >= 0 and pgd_iters >= 1")
+        if self.pgd_step is not None and self.pgd_step <= 0:
+            raise TrainingError("pgd_step must be positive, or null for the "
+                                "default")
 
 
 def build_model(kind: str, input_dim: int, *, seq_len: int | None = None,
@@ -83,6 +91,8 @@ def build_model(kind: str, input_dim: int, *, seq_len: int | None = None,
     """Initialize an architecture with seed-reproducible parameters."""
     if kind not in ARCHITECTURES:
         raise GraphError(f"unknown architecture {kind!r}")
+    if kernel_size < 1:
+        raise GraphError(f"kernel_size must be at least 1, got {kernel_size}")
     if output is None:
         output = "regression" if kind == "linear" else "probability"
     if output not in OUTPUT_KINDS:

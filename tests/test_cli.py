@@ -428,6 +428,75 @@ class TestMalformedInputs:
         assert "params" in doc["message"]
 
 
+NAN, INF = float("nan"), float("inf")
+# Config values that once passed validation, or ended in a traceback: each
+# must end in one mindkit.error/1 line naming the first key.
+BAD_CONFIG_VALUES = [
+    ("gen-data", {"strong_lo": NAN}),
+    ("gen-data", {"strong_hi": INF}),
+    ("gen-data", {"strong_lo": 3.0, "strong_hi": 2.0}),
+    ("gen-data", {"indicator_beta": -INF}),
+    ("gen-data", {"beta": [0.0, NAN, 1.0]}),
+    ("gen-data", {"label_noise": -0.1}),
+    ("gen-data", {"split_fracs": [-0.5, 0.2, 0.1]}),
+    ("gen-data", {"split_fracs": [0.9, 0.9, 0.1]}),
+    *[("train-model", {key: NAN}) for key in
+      ("lr", "min_delta", "lr_floor", "pgd_eps", "pgd_step")],
+    ("train-model", {"min_delta": -1e-4}),
+    ("train-model", {"lr_floor": -1.0}),
+    ("train-model", {"pgd_step": 0.0}),
+    ("train-model", {"patience": 0}),
+    *[("train-transform", {key: NAN}) for key in
+      ("lr", "w1_limit", "cosine_limit", "min_delta", "lr_floor",
+       "weight_decay")],
+    ("train-transform", {"min_delta": -1e-4}),
+    ("train-transform", {"lr_floor": -1.0}),
+    ("train-transform", {"weight_decay": -0.01}),
+    ("train-transform", {"patience": 0}),
+]
+
+
+@pytest.mark.parametrize("command,doc", BAD_CONFIG_VALUES,
+                         ids=lambda v: json.dumps(v) if isinstance(v, dict)
+                         else v)
+def test_bad_config_value_is_one_json_line(pipeline, tmp_path, capsys,
+                                           command, doc):
+    cfg = tmp_path / "cfg.json"
+    if command == "gen-data":
+        cfg.write_text(json.dumps({"n": 40, "d": 3, **doc}))
+        argv = ["gen-data"]
+    else:
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--data", str(pipeline["data"])]
+        if command == "train-transform":
+            argv += ["--model", str(pipeline["model"])]
+    assert main(argv + ["--config", str(cfg), "--out",
+                        str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert validate_artifact(err) == "mindkit.error/1"
+    assert err["command"] == command
+    assert err["error"] == ("DataError" if command == "gen-data"
+                            else "TrainingError")
+    assert next(iter(doc)) in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kernel_size", ["0", "-2"])
+def test_kernel_size_below_one_is_a_usage_error(pipeline, tmp_path, capsys,
+                                                kernel_size):
+    assert main(["train-model", "--data", str(pipeline["data"]),
+                 "--arch", "seqconv", f"--kernel-size={kernel_size}",
+                 "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert validate_artifact(doc) == "mindkit.error/1"
+    assert doc["command"] == "train-model"
+    assert "--kernel-size" in doc["message"] and "positive" in doc["message"]
+
+
 # Seeded fuzz over malformed CLI inputs, in the style of acceptance
 # criterion 01: a fixed seed draws bad elements into list-valued config
 # fields, wrongly typed config values, and bad --hidden / --beta lists. The

@@ -455,6 +455,112 @@ class TestSavedValues:
         assert [dict(vars(op)) for op in ops] == before
 
 
+class TestBufferPool:
+    """A pooled buffer is handed out again only once nothing but the pool
+    refers to it."""
+
+    @pytest.fixture(autouse=True)
+    def pooled(self, monkeypatch):
+        monkeypatch.setattr(dc, "POOL_MIN_VALUES", 1)
+
+    def test_idle_buffer_is_handed_out_again(self):
+        bufs = dc._Buffers()
+        a = bufs.empty((3, 4))
+        del a
+        b = bufs.empty((4, 3))
+        assert len(bufs.bufs) == 1 and b.base is bufs.bufs[0]
+        c = bufs.empty((12,))  # b still refers to the first buffer
+        assert len(bufs.bufs) == 2 and not np.shares_memory(b, c)
+
+    def test_buffer_under_a_reshape_view_is_not_handed_out(self):
+        bufs = dc._Buffers()
+        view = bufs.empty((3, 4)).reshape(2, 6)
+        view[...] = 1.0
+        bufs.empty((3, 4))[...] = 2.0
+        assert len(bufs.bufs) == 2
+        np.testing.assert_array_equal(view, 1.0)
+        del view
+        bufs.empty((3, 4))
+        assert len(bufs.bufs) == 2
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_buffer_under_saved_conv_columns_is_not_handed_out(self, kernel):
+        # kernel 1: the saved columns are a view of the input itself
+        bufs = dc._Buffers()
+        rng = np.random.default_rng(0)
+        x = bufs.empty((2, 3, 5))
+        x[...] = rng.normal(size=x.shape)
+        w = rng.normal(size=(4, 3, kernel))
+        op = dc._Conv1d(padding=kernel // 2, dilation=1, groups=1)
+        out, cols = op.forward(x, w, empty=bufs.empty)
+        want = cols.copy()
+        del x, out
+        for _ in range(3):
+            bufs.empty((2, 3, 5))[...] = np.nan
+            bufs.empty(cols.shape)[...] = np.nan
+        np.testing.assert_array_equal(cols, want)
+
+    def test_buffer_under_a_window_view_is_not_handed_out(self):
+        from numpy.lib.stride_tricks import sliding_window_view
+        bufs = dc._Buffers()
+        x = bufs.empty((2, 7))
+        x[...] = np.arange(14.0).reshape(2, 7)
+        win = sliding_window_view(x, 3, axis=1)
+        want = win.copy()
+        del x
+        bufs.empty((2, 7))[...] = np.nan
+        assert len(bufs.bufs) == 2
+        np.testing.assert_array_equal(win, want)
+
+    def test_results_held_by_the_caller_do_not_pin_buffers(self):
+        # the output and a's gradient are written by GeLU into buffers
+        a = dc.leaf("a", (3, 4))
+        g = dc.Graph(dc.gelu(dc.reshape(a, (4, 3))))
+        seed = np.ones((4, 3))
+
+        def sweeps(k):
+            binds = {"a": np.full((3, 4), 0.1 * k)}
+            return g.evaluate(binds), g.value_and_grad(binds, ["a"], seed)
+
+        held = [sweeps(0)]
+        count = len(g._bufs.bufs)
+        held += [sweeps(k) for k in range(1, 10)]
+        assert len(g._bufs.bufs) == count
+        value, (val, grads) = held[0]
+        np.testing.assert_array_equal(value, val)
+        assert not np.shares_memory(value, val)
+
+    def test_problem_pool_does_not_grow_over_sweeps(self):
+        from mindkit.mindtrain import MindConfig, _Problem
+        from mindkit.models import build_model
+        from mindkit.transforms import TransformSpec, init_transform
+
+        model = build_model("seqconv", 3, seq_len=8, hidden=(4,), seed=2)
+        t = init_transform(TransformSpec("residual", intercept=False), 3, 8,
+                           np.random.default_rng(3))
+        problem = _Problem(model, t, MindConfig(lam=0.1, similarity="cosine"),
+                           {k: v[None] for k, v in t.params.items()})
+        rng = np.random.default_rng(6)
+        X, fc = rng.normal(size=(11, 3, 8)), rng.uniform(size=11)
+
+        def sweep():  # one training step and one validation pass
+            return (*problem.value_and_grad(X[:5], fc[:5], {}),
+                    problem.loss(X[5:], fc[5:], {}))
+
+        def pools():
+            return {B: (len(g._bufs.bufs),
+                        sum(b.nbytes for b in g._bufs.bufs))
+                    for B, g in problem._graphs.items()}
+
+        results = [sweep()]
+        before = pools()
+        assert sorted(before) == [5, 6] and all(n for n, _ in before.values())
+        for _ in range(20):
+            X[:5] += 0.01
+            results.append(sweep())  # results held by the caller
+        assert pools() == before
+
+
 class TestStability:
     def test_bce_with_logits_extreme_values(self):
         z = dc.leaf("z", (4,))

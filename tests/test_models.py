@@ -79,6 +79,9 @@ class TestBuildAndPredict:
             build_model("mlp", 3, output="poisson")
         with pytest.raises(GraphError, match="seq_len"):
             build_model("seqconv", 3)
+        for kernel_size in (0, -2):
+            with pytest.raises(GraphError, match="kernel_size"):
+                build_model("seqconv", 3, seq_len=8, kernel_size=kernel_size)
 
     def test_predict_rejects_wrong_width(self):
         m = build_model("mlp", 3, seed=0)

@@ -348,6 +348,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, dict]:
     perm = rng_s.permutation(n)
     n_tr = max(1, int(round(spec.split_fracs[0] * n)))
     n_va = max(1, int(round(spec.split_fracs[1] * n)))
+    if n_tr >= n:
+        raise DataError(f"split_fracs {list(spec.split_fracs)} leave no "
+                        f"validation rows: the train split takes all {n}")
     splits = {
         "train": perm[:n_tr],
         "validation": perm[n_tr:n_tr + n_va],

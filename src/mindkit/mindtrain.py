@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -464,6 +463,13 @@ def _chunks(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         return [[r] for r in range(config.restarts)]
     return restart_chunks(config.restarts, _values_per_restart(
         model, tspec, dataset, config))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The pool `multi_restart` fits chunks in with `threads` > 1; imported
+    on first use, because loading it costs every CLI process about 60 ms."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+    return Pool(max_workers=max_workers)
 
 
 def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,

@@ -7,9 +7,9 @@ infinities) are written as null, so numeric fields generally admit null.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import DataError
@@ -236,18 +236,71 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+# The keywords `_check` implements, with JSON Schema's meaning; SCHEMAS
+# uses no other, and a test fails on any keyword outside this set.
+KEYWORDS = frozenset({"type", "required", "properties", "items", "const",
+                      "enum", "additionalProperties"})
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    # bool subclasses int but is neither; an integral float is an integer
+    "number": lambda v: isinstance(v, numbers.Number)
+    and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _mismatch(path: str, why: str) -> DataError:
+    return DataError(f"{path or '/'}: {why}")
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """Raise DataError naming the first field under `path` that breaks
+    `schema`; object keywords apply to dicts only, `items` to lists only."""
+    kinds = schema.get("type")
+    if kinds is not None:
+        kinds = [kinds] if isinstance(kinds, str) else kinds
+        if not any(_TYPES[k](value) for k in kinds):
+            raise _mismatch(path, f"expected {' or '.join(kinds)}, "
+                                  f"got {value!r:.40}")
+    if "const" in schema and value != schema["const"]:
+        raise _mismatch(path, f"expected {schema['const']!r}, "
+                              f"got {value!r:.40}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise _mismatch(path, f"expected one of {schema['enum']}, "
+                              f"got {value!r:.40}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _mismatch(f"{path}/{key}", "required field is missing")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties")
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is not None:
+                _check(item, sub, f"{path}/{key}")
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{path}/{i}")
+
+
 def validate_artifact(doc: dict) -> str:
     """Check a document against the schema it names; returns the schema id."""
     if not isinstance(doc, dict) or "schema" not in doc:
         raise DataError("artifact lacks a 'schema' field")
     name = doc["schema"]
-    schema = SCHEMAS.get(name)
+    schema = SCHEMAS.get(name) if isinstance(name, str) else None
     if schema is None:
         raise DataError(f"unknown schema {name!r}")
     try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise DataError(f"artifact does not match {name}: {exc.message}") from exc
+        _check(doc, schema, "")
+    except DataError as exc:
+        raise DataError(f"artifact does not match {name}: {exc}") from None
     return name
 
 

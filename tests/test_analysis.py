@@ -454,6 +454,22 @@ class TestSanityHarness:
         assert out.rhos == [1.0, 1.0, 1.0]
         assert out.pvalues == [0.0, 0.0, 0.0]
 
+    def test_seqconv_harness_writes_nothing(self, capfd):
+        """Callers that print their own result line (the benchmark does)
+        rely on the library staying silent on stdout and stderr."""
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((80, 3, 6))
+        ds = from_arrays(X, (X[:, 1].mean(axis=1) > 0).astype(float),
+                         {"train": np.arange(60),
+                          "validation": np.arange(60, 80)})
+        m = build_model("seqconv", 3, seq_len=6, hidden=(4,), seed=3)
+        spec = TransformSpec("gating", intercept=False)
+        cfg = MindConfig(lam=0.1, restarts=2, top_k=1, max_epochs=2, seed=4)
+        ref = multi_restart(m, spec, ds, cfg).mean
+        restart_baseline(m, spec, ds, cfg, ref, instances=1, seed=5)
+        sanity_check(m, spec, ds, cfg, ref, shuffles=1, seed=6)
+        assert capfd.readouterr() == ("", "")
+
     def test_real_end_to_end_smoke(self):
         m, ds = tiny_problem()
         cfg = MindConfig(lam=0.1, similarity="inner_product", restarts=5,

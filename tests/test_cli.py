@@ -186,13 +186,16 @@ class TestOracle:
 
 def test_cli_import_skips_scipy():
     """Only GeLU and the Spearman p-value use scipy, and they import it
-    when first called, so commands that need neither never load it."""
+    when first called, so commands that need neither never load it; the
+    process pool is imported only for `--threads` > 1, and artifacts are
+    checked without jsonschema."""
     src = str(Path(mindkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, mindkit.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+         "('scipy', 'jsonschema', 'concurrent', 'multiprocessing')))"],
         capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
@@ -428,6 +431,38 @@ class TestMalformedInputs:
         assert "params" in doc["message"]
 
 
+@pytest.mark.parametrize("command,artifact,pointer,value", [
+    ("train-transform", "model", "/input_dim", "3"),
+    ("train-transform", "model", "/params/w0/shape/0", 2.5),
+    ("score", "manifest", "/restarts/selected", "0"),
+    ("score", "manifest", "/score_mean/1", True),
+])
+def test_artifact_breaking_its_schema_names_the_path(
+        pipeline, tmp_path, capsys, command, artifact, pointer, value):
+    doc = read(pipeline[artifact])
+    *parents, last = pointer.strip("/").split("/")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[int(last) if isinstance(node, list) else last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if command == "score":
+        argv = ["score", "--manifest", str(bad)]
+    else:
+        argv = ["train-transform", "--data", str(pipeline["data"]),
+                "--model", str(bad), "--config", str(pipeline["mind_cfg"])]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err, captured.err
+    err = json.loads(lines[0])
+    assert validate_artifact(err) == "mindkit.error/1"
+    assert (err["command"], err["error"]) == (command, "DataError")
+    assert f"does not match {doc['schema']}: {pointer}: " in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 NAN, INF = float("nan"), float("inf")
 # Config values that once passed validation, or ended in a traceback: each
 # must end in one mindkit.error/1 line naming the first key.
@@ -440,6 +475,7 @@ BAD_CONFIG_VALUES = [
     ("gen-data", {"label_noise": -0.1}),
     ("gen-data", {"split_fracs": [-0.5, 0.2, 0.1]}),
     ("gen-data", {"split_fracs": [0.9, 0.9, 0.1]}),
+    ("gen-data", {"split_fracs": [1.0, 0.0, 0.0]}),  # no validation rows
     *[("train-model", {key: NAN}) for key in
       ("lr", "min_delta", "lr_floor", "pgd_eps", "pgd_step")],
     ("train-model", {"min_delta": -1e-4}),

@@ -226,25 +226,36 @@ def spearman(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     Returns (nan, nan) when either input is constant or shorter than 3;
     rank correlation is undefined there.
     """
+    rho, n = spearman_rho(a, b)
+    return rho, spearman_p(rho, n)
+
+
+def spearman_rho(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
+    """`spearman`'s rho, and the number of pairs it ranks."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise AnalysisError("inputs must have equal length")
     n = len(a)
     if n < 3 or np.all(a == a[0]) or np.all(b == b[0]):
-        return float("nan"), float("nan")
+        return float("nan"), n
     ra, rb = _average_ranks(a), _average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
     denom = np.sqrt((ra * ra).sum() * (rb * rb).sum())
     rho = float((ra * rb).sum() / denom)
-    rho = max(-1.0, min(1.0, rho))
+    return max(-1.0, min(1.0, rho)), n
+
+
+def spearman_p(rho: float, n: int) -> float:
+    """`spearman`'s p-value for a rho over n pairs (NaN where rho is)."""
+    if np.isnan(rho):
+        return float("nan")
     if n == 3 or abs(rho) == 1.0:
-        return rho, 0.0 if abs(rho) == 1.0 else 1.0
+        return 0.0 if abs(rho) == 1.0 else 1.0
     from scipy.special import stdtr  # a 0.3 s import most commands skip
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return rho, p
+    return 2.0 * float(stdtr(n - 2, -abs(t)))
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -328,12 +339,17 @@ class SanityOutcome:
     A refit whose scores are constant has an undefined (NaN) correlation;
     `undefined` counts those, and the mean and spread summarize the defined
     ones only, so they are NaN only when no correlation is defined.
+    `pvalues` are computed from the rhos when read, which imports scipy.
     """
 
     layer: str
     rhos: list[float]
-    pvalues: list[float]
+    n: int          # features ranked by each correlation
     failures: int
+
+    @property
+    def pvalues(self) -> list[float]:
+        return [spearman_p(rho, self.n) for rho in self.rhos]
 
     @property
     def undefined(self) -> int:
@@ -367,7 +383,6 @@ def _refit_outcome(layer: str, fits, tspec, dataset: Dataset,
 
     reference = np.asarray(reference_scores, dtype=np.float64).ravel()
     rhos: list[float] = []
-    pvals: list[float] = []
     failures = 0
     for model, config in fits:
         config = replace(config, restarts=SANITY_RESTARTS,
@@ -378,10 +393,8 @@ def _refit_outcome(layer: str, fits, tspec, dataset: Dataset,
         except TrainingError:
             failures += 1
             continue
-        rho, p = spearman(reference, result.feature_scores())
-        rhos.append(rho)
-        pvals.append(p)
-    return SanityOutcome(layer=layer, rhos=rhos, pvalues=pvals,
+        rhos.append(spearman_rho(reference, result.feature_scores())[0])
+    return SanityOutcome(layer=layer, rhos=rhos, n=len(reference),
                          failures=failures)
 
 

@@ -57,14 +57,7 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Rows where either side has L2 norm below NORM_EPS get cosine 0.
     """
-    fa = a.reshape(a.shape[0], -1)
-    fb = b.reshape(b.shape[0], -1)
-    na = np.sqrt((fa * fa).sum(axis=1))
-    nb = np.sqrt((fb * fb).sum(axis=1))
-    dots = (fa * fb).sum(axis=1)
-    guarded = (na < NORM_EPS) | (nb < NORM_EPS)
-    denom = np.where(guarded, 1.0, na * nb)
-    return np.where(guarded, 0.0, dots / denom)
+    return _CosineRows().forward(a, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +397,26 @@ class _Cosine:
 
 
 class _CosineRows:
-    """Per-row cosine similarity: (B, ...) x (B, ...) -> (B,), guarded rows -> 0."""
+    """Per-row cosine similarity: (B, ...) x (B, ...) -> (B,), guarded rows
+    -> 0. The row norms and the guard are saved for the VJP."""
+
+    saves = True
 
     def forward(self, a, b):
-        return row_cosines(a, b)
-
-    def vjp(self, g, y, xs, needs, saved):
-        a, b = xs
         fa = a.reshape(a.shape[0], -1)
         fb = b.reshape(b.shape[0], -1)
         na = np.sqrt((fa * fa).sum(axis=1))
         nb = np.sqrt((fb * fb).sum(axis=1))
+        dots = (fa * fb).sum(axis=1)
         guarded = (na < NORM_EPS) | (nb < NORM_EPS)
+        denom = np.where(guarded, 1.0, na * nb)
+        return np.where(guarded, 0.0, dots / denom), (na, nb, guarded)
+
+    def vjp(self, g, y, xs, needs, saved):
+        a, b = xs
+        na, nb, guarded = saved
+        fa = a.reshape(a.shape[0], -1)
+        fb = b.reshape(b.shape[0], -1)
         na = np.where(guarded, 1.0, na)
         nb = np.where(guarded, 1.0, nb)
         c = np.where(guarded, 0.0, y)
@@ -713,94 +714,115 @@ class Graph:
     The graph owns the large arrays of its sweeps (see _Buffers), so one
     graph must not be swept by two threads at once. Only the output value
     and the leaf gradients leave a sweep, and they never share memory with
-    the graph's buffers.
+    the graph's buffers. Sweeps run from plans: the forward plan is built
+    here, a reverse plan on the first sweep for each set of gradient
+    targets. Plans hold node indices and bound methods, never arrays.
     """
 
     def __init__(self, output: Node):
         self.output = output
         self.nodes = _topo(output)
-        self._index = {id(n): i for i, n in enumerate(self.nodes)}
-        self._pidx = [tuple(self._index[id(p)] for p in n.parents)
-                      for n in self.nodes]
+        self._index = index = {id(n): i for i, n in enumerate(self.nodes)}
         self.leaves = {n.name: n for n in self.nodes if n.name is not None}
-        self._saves = [getattr(n.op, "saves", False) for n in self.nodes]
-        self._needed_cache: dict[frozenset, list[bool]] = {}
         self._bufs = _Buffers()
         large = any(math.prod(n.shape) >= POOL_MIN_VALUES for n in self.nodes)
-        self._buffered = [large and getattr(n.op, "buffered", False)
-                          for n in self.nodes]
+        pidx = [tuple(index[id(p)] for p in n.parents) for n in self.nodes]
         # An evaluate sweep of a graph that takes buffers drops each value
         # but the output's after the last step that reads it.
-        self._drops: list[list[int]] = [[] for _ in self.nodes]
+        drops: list[list[int]] = [[] for _ in self.nodes]
         if large:
-            last = {j: i for i, pv in enumerate(self._pidx) for j in pv}
+            last = {j: i for i, pv in enumerate(pidx) for j in pv}
             for j, i in last.items():
-                self._drops[i].append(j)
+                drops[i].append(j)
+        self._leaf_plan = [(i, n.name, n.shape)
+                           for i, n in enumerate(self.nodes)
+                           if n.name is not None]
+        self._const_plan = [i for i, n in enumerate(self.nodes)
+                            if n.name is None and n.op is None]
+        # (index, forward, parent indices, buffered, saves, drops), in
+        # node order
+        self._op_plan = [
+            (i, n.op.forward, pidx[i],
+             large and getattr(n.op, "buffered", False),
+             getattr(n.op, "saves", False), tuple(drops[i]))
+            for i, n in enumerate(self.nodes) if n.op is not None]
+        self._reverse_plans: dict[frozenset, list[tuple]] = {}
 
     # -- forward ------------------------------------------------------------
 
-    def _forward(self, bindings: Mapping[str, np.ndarray], reverse: bool
-                 ) -> tuple[list, list]:
+    def _forward(self, bindings: Mapping[str, np.ndarray], reverse: bool,
+                 check: bool) -> tuple[list, list]:
         """Node values plus, parallel to them, what each op saved for its
         VJP in this sweep (None where an op saves nothing). With `reverse`
         false (no reverse sweep follows), nothing saved is kept and each
         value but the output's is dropped after its last reader."""
         vals: list = [None] * len(self.nodes)
         saved: list = [None] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            if node.name is not None:
-                if node.name not in bindings:
-                    raise GraphError(f"unbound leaf {node.name!r}")
-                val = tensor(bindings[node.name])
-                if val.shape != node.shape:
-                    raise GraphError(
-                        f"leaf {node.name!r} expects shape {node.shape}, got {val.shape}")
-                vals[i] = val
-            elif node.op is None:
-                vals[i] = node.value
-            else:
-                xs = [vals[j] for j in self._pidx[i]]
+        for i, name, shape in self._leaf_plan:
+            if name not in bindings:
+                raise GraphError(f"unbound leaf {name!r}")
+            val = (tensor(bindings[name]) if check
+                   else np.asarray(bindings[name], dtype=np.float64))
+            if val.shape != shape:
+                raise GraphError(
+                    f"leaf {name!r} expects shape {shape}, got {val.shape}")
+            vals[i] = val
+        for i in self._const_plan:
+            vals[i] = self.nodes[i].value
+        empty = self._bufs.empty
+        for i, forward, pv, buffered, saves, drops in self._op_plan:
+            xs = [vals[j] for j in pv]
+            if not reverse:
+                for j in drops:
+                    vals[j] = None
+            vals[i] = forward(*xs, empty=empty) if buffered else forward(*xs)
+            xs = None
+            if saves:  # forward returned (value, saved)
+                vals[i], saved[i] = vals[i]
                 if not reverse:
-                    for j in self._drops[i]:
-                        vals[j] = None
-                if self._buffered[i]:
-                    vals[i] = node.op.forward(*xs, empty=self._bufs.empty)
-                else:
-                    vals[i] = node.op.forward(*xs)
-                xs = None
-                if self._saves[i]:  # forward returned (value, saved)
-                    vals[i], saved[i] = vals[i]
-                    if not reverse:
-                        saved[i] = None
+                    saved[i] = None
         return vals, saved
 
-    def evaluate(self, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
+    def evaluate(self, bindings: Mapping[str, np.ndarray],
+                 check: bool = True) -> np.ndarray:
         """Output value under a binding; pure, so equal bindings give
-        bit-identical results."""
-        return self._bufs.escape(self._forward(bindings, False)[0][-1])
+        bit-identical results. With `check` false the bindings are not
+        checked for non-finite values: the caller has checked them."""
+        return self._bufs.escape(self._forward(bindings, False, check)[0][-1])
 
     # -- reverse ------------------------------------------------------------
 
-    def _needed(self, wrt: frozenset) -> list[bool]:
-        cached = self._needed_cache.get(wrt)
-        if cached is not None:
-            return cached
+    def _reverse_plan(self, wrt: frozenset) -> list[tuple]:
+        """The VJP steps of a reverse sweep for gradients of `wrt`: one
+        per op node that depends on a leaf in `wrt`, last node first, as
+        (index, vjp, parent indices, needs, (slot, parent) pairs that
+        receive a gradient, buffered, the nodes dropped before the step).
+        Every reader of a dropped node has run its VJP, and a dropped node
+        has none to run."""
         needed = [False] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            if node.name is not None:
-                needed[i] = node.name in wrt
-            else:
-                needed[i] = any(needed[j] for j in self._pidx[i])
-        self._needed_cache[wrt] = needed
-        return needed
+        for i, name, _ in self._leaf_plan:
+            needed[i] = name in wrt
+        for i, _, pv, *_ in self._op_plan:
+            needed[i] = any(needed[j] for j in pv)
+        steps, after = [], len(self.nodes)
+        for i, _, pv, buffered, _, _ in reversed(self._op_plan):
+            if needed[i]:
+                steps.append((
+                    i, self.nodes[i].op.vjp, pv,
+                    tuple(needed[j] for j in pv),
+                    tuple((k, j) for k, j in enumerate(pv) if needed[j]),
+                    buffered, tuple(range(i + 1, after))))
+                after = i
+        return steps
 
     def value_and_grad(self, bindings: Mapping[str, np.ndarray],
-                       wrt: Iterable[str], seed=None):
+                       wrt: Iterable[str], seed=None, check: bool = True):
         """Forward value plus d(output)/d(leaf) for each requested leaf.
 
         With `seed`, an array of the output's shape, the gradients are
         those of sum(seed * output): ones give the gradient of the sum of
-        a vector of losses, such as one loss per stacked restart.
+        a vector of losses, such as one loss per stacked restart. `check`
+        is as for `evaluate`.
         """
         if seed is None:
             if self.output.shape != ():
@@ -813,34 +835,30 @@ class Graph:
         for name in wrt:
             if name not in bindings and name not in self.leaves:
                 raise GraphError(f"gradient target {name!r} has no binding")
+        plan = self._reverse_plans.get(wrt)
+        if plan is None:
+            plan = self._reverse_plans[wrt] = self._reverse_plan(wrt)
         bufs = self._bufs
-        vals, saved = self._forward(bindings, True)
+        empty = bufs.empty
+        vals, saved = self._forward(bindings, True, check)
         value = bufs.escape(vals[-1])
-        needed = self._needed(wrt)
         grads: list = [None] * len(self.nodes)
         grads[-1] = np.asarray(seed, dtype=np.float64)
-        for i in range(len(self.nodes) - 1, -1, -1):
-            # Every reader of node i has run its VJP, so once node i's own
-            # has run, its value, saved arrays and gradient are dead (a
-            # leaf's gradient is a result).
-            op, pv = self.nodes[i].op, self._pidx[i]
-            if op is None or grads[i] is None:
-                vals[i] = saved[i] = None
-                continue
-            needs = tuple(needed[j] for j in pv)
-            args = (grads[i], vals[i], tuple(vals[j] for j in pv), needs,
+        for i, vjp, pv, needs, targets, buffered, drops in plan:
+            # The gradients of dropped nodes are kept (a leaf's is a
+            # result); node i's value, saved arrays and gradient are dead
+            # once its own VJP has run.
+            for j in drops:
+                vals[j] = saved[j] = None
+            args = (grads[i], vals[i], [vals[j] for j in pv], needs,
                     saved[i])
             vals[i] = saved[i] = grads[i] = None
-            if self._buffered[i]:
-                parts = op.vjp(*args, empty=bufs.empty)
-            else:
-                parts = op.vjp(*args)
+            parts = vjp(*args, empty=empty) if buffered else vjp(*args)
             args = None
-            for j, part in zip(pv, parts):
-                if part is not None and needed[j]:
-                    grads[j] = (part if grads[j] is None
-                                else bufs.add(grads[j], part))
-            parts = part = None
+            for k, j in targets:
+                grads[j] = (parts[k] if grads[j] is None
+                            else bufs.add(grads[j], parts[k]))
+            parts = None
         out: dict[str, np.ndarray] = {}
         for name in wrt:
             node = self.leaves.get(name)

@@ -178,11 +178,12 @@ class _Problem:
         gradients of their sum."""
         g = self.graph_for(len(X) // self.restarts)
         return g.value_and_grad(self.bindings(X, fc, extra),
-                                wrt=list(self.params), seed=self._seed)
+                                wrt=list(self.params), seed=self._seed,
+                                check=False)
 
     def loss(self, X, fc, extra) -> np.ndarray:
         g = self.graph_for(len(X) // self.restarts)
-        return g.evaluate(self.bindings(X, fc, extra))
+        return g.evaluate(self.bindings(X, fc, extra), check=False)
 
 
 def _restart_means(per_row: dc.Node, R: int) -> dc.Node:
@@ -203,7 +204,8 @@ def mind_loss(model: Model, transform, X: np.ndarray,
         X = X[None]
     problem = _Problem(model, transform, config, _unstacked(transform))
     fc = np.atleast_1d(predict(model, X))
-    return float(problem.loss(X, fc, transform.extra(X))[0])
+    binds = problem.bindings(X, fc, transform.extra(X))
+    return float(problem.graph_for(len(X)).evaluate(binds)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +281,9 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     val_binds = (np.concatenate([Xva] * R), np.concatenate([fc_va] * R),
                  {k: np.concatenate([v] * R)
                   for k, v in template.extra(Xva).items()})
+    for arr in (Xtr, fc_tr, *extra_tr.values(), *val_binds[:2],
+                *val_binds[2].values(), *params.values()):
+        dc.tensor(arr)  # checked once: the fit's sweeps skip the check
     opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay,
                decay_keys=template.decay_keys())
     gate_key = template.gate_key

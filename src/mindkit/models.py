@@ -239,6 +239,8 @@ def train(model: Model, dataset: Dataset,
     eps = config.pgd_eps if config.adversarial else 0.0
     step = config.pgd_step if config.pgd_step is not None else eps / 4.0
     names = list(params)
+    for arr in (Xtr, ytr, Xva, yva, *params.values()):
+        dc.tensor(arr)  # checked once: the fit's sweeps skip the check
 
     def loss_and_grad(idx):
         Xb = Xtr[idx]
@@ -247,10 +249,11 @@ def train(model: Model, dataset: Dataset,
         if eps > 0:
             Xb = _pgd_perturb(g, dict(binds), Xb, eps, step, config.pgd_iters)
         binds["x"] = Xb
-        return g.value_and_grad(binds, wrt=names)
+        return g.value_and_grad(binds, wrt=names, check=False)
 
     def val_loss():
-        return graph_for(len(Xva)).evaluate({**params, "x": Xva, "y": yva})
+        return graph_for(len(Xva)).evaluate({**params, "x": Xva, "y": yva},
+                                            check=False)
 
     history, _ = fit(params, loss_and_grad, val_loss, len(Xtr),
                      config.batch_size, config.max_epochs, rng, opt, sched,

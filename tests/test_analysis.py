@@ -386,22 +386,46 @@ class FakeResult:
 
 class TestSanityHarness:
     def test_outcome_statistics(self):
-        out = SanityOutcome("w", [1.0, 0.5], [0.0, 0.1], 0)
+        out = SanityOutcome("w", [1.0, 0.5], 4, 0)
         assert out.rho_mean == 0.75
         np.testing.assert_allclose(out.rho_std, 0.25)
-        empty = SanityOutcome("w", [], [], 3)
+        empty = SanityOutcome("w", [], 4, 3)
         assert np.isnan(empty.rho_mean) and np.isnan(empty.rho_std)
         assert empty.undefined == 0
 
     def test_undefined_correlations_are_counted_not_spread(self):
         nan = float("nan")
-        out = SanityOutcome("w", [0.5, nan, 1.0], [0.1, nan, 0.0], 0)
+        out = SanityOutcome("w", [0.5, nan, 1.0], 4, 0)
         assert out.undefined == 1
         assert out.rho_mean == 0.75
         np.testing.assert_allclose(out.rho_std, 0.25)
-        none = SanityOutcome("w", [nan, nan], [nan, nan], 0)
+        none = SanityOutcome("w", [nan, nan], 4, 0)
         assert none.undefined == 2
         assert np.isnan(none.rho_mean) and np.isnan(none.rho_std)
+
+    def test_pvalues_are_spearmans_bit_for_bit(self, monkeypatch):
+        # the refits' rhos are kept, and their p-values computed when read
+        m, ds = tiny_problem()
+        rng = np.random.default_rng(12)
+        ref = rng.normal(size=6)
+        scores = [rng.normal(size=6), np.round(rng.normal(size=6)),
+                  np.ones(6), ref, -ref, ref + 0.1 * rng.normal(size=6)]
+        it = iter(scores)
+        monkeypatch.setattr(
+            mt, "multi_restart",
+            lambda model, tspec, dataset, config, threads=1:
+                FakeResult(next(it)))
+        out = restart_baseline(m, TransformSpec("gating"), ds,
+                               MindConfig(restarts=3, top_k=3), ref,
+                               instances=len(scores), seed=0)
+        want = [spearman(ref, s) for s in scores]
+        np.testing.assert_array_equal(out.rhos, [r for r, _ in want])
+        np.testing.assert_array_equal(out.pvalues, [p for _, p in want])
+        assert np.isnan(out.pvalues[2]) and out.pvalues[3:5] == [0.0, 0.0]
+        three = [np.array([1.0, 3.0, 2.0]), np.array([2.0, 1.0, 3.0])]
+        rho = spearman(*three)[0]
+        assert SanityOutcome("w", [rho], 3, 0).pvalues == \
+            [spearman(*three)[1]]
 
     def test_shuffled_scores_tracked_per_layer(self, monkeypatch):
         m, ds = tiny_problem()

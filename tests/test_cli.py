@@ -184,21 +184,45 @@ class TestOracle:
         assert validate_artifact(json.loads(lines[0])) == "mindkit.error/1"
 
 
+def _loaded_after(code, packages):
+    """The modules of `packages` that a fresh interpreter has loaded once
+    it has run `code`."""
+    src = str(Path(mindkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; {code}; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+         f"{tuple(packages)!r}))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_skips_scipy():
     """Only GeLU and the Spearman p-value use scipy, and they import it
     when first called, so commands that need neither never load it; the
     process pool is imported only for `--threads` > 1, and artifacts are
     checked without jsonschema."""
-    src = str(Path(mindkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, mindkit.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-         "('scipy', 'jsonschema', 'concurrent', 'multiprocessing')))"],
-        capture_output=True, text=True, timeout=120, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _loaded_after("import mindkit.cli", (
+        "scipy", "jsonschema", "concurrent", "multiprocessing")) == "[]"
+
+
+def test_sanity_check_on_an_mlp_skips_scipy(pipeline, tmp_path):
+    """sanity.json carries no p-values, so the command never computes one."""
+    cfg = tmp_path / "mind.json"
+    cfg.write_text(json.dumps({"lam": 0.05, "similarity": "inner_product",
+                               "max_epochs": 4, "restarts": 3, "top_k": 2}))
+    argv = ["sanity-check", "--data", str(pipeline["data"]),
+            "--model", str(pipeline["model"]),
+            "--report", str(pipeline["manifest"]), "--config", str(cfg),
+            "--shuffles", "2", "--out", str(tmp_path / "sanity")]
+    code = f"from mindkit.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_after(code, ("scipy",)) == "[]"
+    # a rho inside (-1, 1) is one whose p-value would need scipy
+    rhos = [r for e in read(tmp_path / "sanity" / "sanity.json")["layers"]
+            for r in e["rhos"]]
+    assert any(r is not None and abs(r) < 1.0 for r in rhos)
 
 
 @pytest.mark.parametrize("shuffles", ["0", "-1"])

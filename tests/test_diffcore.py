@@ -216,6 +216,43 @@ class TestCosine:
         assert_grads_match(g, binds, ["a", "b"])
 
 
+def test_cosine_rows_vjp_reads_the_saved_norms_bit_for_bit():
+    def recomputed(g, y, a, b, needs):
+        """The VJP as it reads with the row norms computed again."""
+        fa = a.reshape(a.shape[0], -1)
+        fb = b.reshape(b.shape[0], -1)
+        na = np.sqrt((fa * fa).sum(axis=1))
+        nb = np.sqrt((fb * fb).sum(axis=1))
+        guarded = (na < dc.NORM_EPS) | (nb < dc.NORM_EPS)
+        na = np.where(guarded, 1.0, na)
+        nb = np.where(guarded, 1.0, nb)
+        c = np.where(guarded, 0.0, y)
+        gv = np.where(guarded, 0.0, g)[:, None]
+        da = gv * (fb / (na * nb)[:, None]
+                   - c[:, None] * fa / (na * na)[:, None])
+        db = gv * (fa / (na * nb)[:, None]
+                   - c[:, None] * fb / (nb * nb)[:, None])
+        return (da.reshape(a.shape) if needs[0] else None,
+                db.reshape(b.shape) if needs[1] else None)
+
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(6, 3, 4)), rng.normal(size=(6, 3, 4))
+    a[1] = 0.0           # guarded: a zero row
+    b[4] = 1e-14         # guarded: a norm below NORM_EPS
+    op = dc._CosineRows()
+    y, saved = op.forward(a, b)
+    np.testing.assert_array_equal(y, dc.row_cosines(a, b))
+    assert y[1] == y[4] == 0.0
+    g = rng.normal(size=6)
+    for needs in ((True, True), (True, False), (False, True)):
+        got = op.vjp(g, y, [a, b], needs, saved)
+        for part, want in zip(got, recomputed(g, y, a, b, needs)):
+            if want is None:
+                assert part is None
+            else:
+                np.testing.assert_array_equal(part, want)
+
+
 class TestConv1d:
     def _naive_conv(self, x, w, padding, dilation, groups):
         # independent loop implementation
@@ -444,6 +481,33 @@ class TestSavedValues:
             for name in params:
                 np.testing.assert_array_equal(grads[name], want[name])
 
+    @pytest.mark.parametrize("pool_all", [False, True])
+    def test_sweeps_for_two_target_sets_match_fresh_graphs(self, monkeypatch,
+                                                           pool_all):
+        # one graph keeps a reverse plan per target set; leaf v is never a
+        # target and x only in one of the two sets
+        if pool_all:
+            monkeypatch.setattr(dc, "POOL_MIN_VALUES", 1)
+
+        def graph():
+            x, w = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))
+            h = dc.mul(_seq_block(x, w), dc.leaf("v", (3, 5, 7)))
+            return dc.Graph(dc.mean(dc.cosine_rows(h, dc.gelu(h))))
+
+        shared = graph()
+        for step in range(3):
+            binds = {**self._bindings(20 + step), "v": np.random.default_rng(
+                30 + step).normal(size=(3, 5, 7))}
+            for wrt in (["x", "w"], ["w"]):
+                val, grads = shared.value_and_grad(binds, wrt=wrt)
+                value = shared.evaluate(binds)
+                want_val, want = self._unpooled(
+                    lambda: graph().value_and_grad(binds, wrt=wrt))
+                assert val == want_val == value
+                assert sorted(grads) == sorted(wrt)
+                for name in wrt:
+                    np.testing.assert_array_equal(grads[name], want[name])
+
     def test_ops_are_not_written_during_a_sweep(self):
         x, w = dc.leaf("x", (3, 4, 7)), dc.leaf("w", (5, 4, 3))
         h = _seq_block(x, w)
@@ -561,6 +625,29 @@ class TestBufferPool:
         assert pools() == before
 
 
+def test_residual_training_pool_holds_no_more_than_per_node_liveness():
+    """The residual transform's training graph at the benchmark's sizes
+    (B=90, seqconv d=6, T=12) holds 16 buffers of 4,950,720 bytes in all
+    after three sweeps when every array is dropped after its last use, as
+    measured; an array held by a sweep plan would pin more."""
+    from mindkit.mindtrain import MindConfig, _Problem
+    from mindkit.models import build_model
+    from mindkit.transforms import TransformSpec, init_transform
+
+    model = build_model("seqconv", 6, seq_len=12, hidden=(8,), seed=2)
+    t = init_transform(TransformSpec("residual", intercept=False), 6, 12,
+                       np.random.default_rng(3))
+    problem = _Problem(model, t, MindConfig(lam=0.1, similarity="cosine"),
+                       {k: v[None] for k, v in t.params.items()})
+    rng = np.random.default_rng(6)
+    X, fc = rng.normal(size=(90, 6, 12)), rng.uniform(size=90)
+    for _ in range(3):
+        problem.value_and_grad(X, fc, {})
+    bufs = problem.graph_for(90)._bufs.bufs
+    assert len(bufs) <= 16
+    assert sum(b.nbytes for b in bufs) <= 4_950_720
+
+
 class TestStability:
     def test_bce_with_logits_extreme_values(self):
         z = dc.leaf("z", (4,))
@@ -615,8 +702,12 @@ class TestValidation:
     def test_nonfinite_binding_rejected(self):
         x = dc.leaf("x", (2,))
         g = dc.Graph(dc.mean(x))
-        with pytest.raises(GraphError):
-            g.evaluate({"x": np.array([1.0, np.nan])})
+        for bad in (np.nan, np.inf, -np.inf):
+            binds = {"x": np.array([1.0, bad])}
+            with pytest.raises(GraphError, match="finite"):
+                g.evaluate(binds)
+            with pytest.raises(GraphError, match="finite"):
+                g.value_and_grad(binds, wrt=["x"])
 
     def test_gradient_requires_scalar_output(self):
         x = dc.leaf("x", (3,))

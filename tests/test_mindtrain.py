@@ -284,6 +284,26 @@ class TestTrainTransform:
         assert min(diag.lr_curve) < cfg.lr  # patience 1 halves the rate
         assert all(b <= a for a, b in zip(diag.lr_curve, diag.lr_curve[1:]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_model_output_rejected(self, monkeypatch, bad):
+        # checked once when the fit starts, with the error a sweep gives
+        ds = classifier_dataset(seed=5)
+        m = build_model("mlp", 3, output="probability", seed=5)
+        cfg = MindConfig(lam=0.2, restarts=3, top_k=2, max_epochs=2, seed=7)
+        real = mt.predict
+
+        def predict(model, X):
+            out = np.array(real(model, X))
+            out[-1] = bad
+            return out
+
+        monkeypatch.setattr(mt, "predict", predict)
+        msg = r"^tensor requires finite values \(NaN/Inf rejected\)$"
+        with pytest.raises(GraphError, match=msg):
+            multi_restart(m, TransformSpec("gating"), ds, cfg)
+        with pytest.raises(GraphError, match=msg):
+            train_transform(m, TransformSpec("gating"), ds, cfg)
+
     def test_missing_validation_split_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
         ds = from_arrays(X, np.zeros(30), {"train": np.arange(30)})
@@ -586,6 +606,29 @@ class TestStackedRestarts:
         assert res.selected == [r for r in clean.selected if r != 1]
         np.testing.assert_array_equal(res.samples, clean.samples[
             [clean.selected.index(r) for r in res.selected]])
+
+    def test_nonfinite_parameter_fails_only_that_restart(self, monkeypatch):
+        # the sweeps leave parameters unchecked: a NaN shows in the loss
+        ds = classifier_dataset(seed=5)
+        m = build_model("mlp", 3, output="probability", seed=5)
+        cfg = MindConfig(lam=0.2, restarts=3, top_k=2, max_epochs=6, seed=7)
+        clean = multi_restart(m, TransformSpec("gating"), ds, cfg)
+        real = mt._Problem.value_and_grad
+        calls = iter(range(10 ** 9))
+
+        def patched(self, X, fc, extra):
+            if next(calls) == 3:
+                self.params[self.transform.gate_key][1, 0] = np.nan
+            return real(self, X, fc, extra)
+
+        monkeypatch.setattr(mt._Problem, "value_and_grad", patched)
+        res = multi_restart(m, TransformSpec("gating"), ds, cfg)
+        assert res.failed == [1]
+        assert res.failure_reasons[0].startswith(
+            "non-finite training loss in transform restart 1 at epoch 0")
+        survivors = {d.restart: d for d in clean.diagnostics}
+        for d in res.diagnostics:
+            assert d.val_curve == survivors[d.restart].val_curve
 
     def test_failed_stack_of_one_raises_the_serial_error(self,
                                                         monkeypatch):

@@ -171,6 +171,24 @@ class TestTraining:
                 pytest.raises(TrainingError, match="non-finite"):
             train(m, ds, TrainConfig(max_epochs=3, seed=0))
 
+    @pytest.mark.parametrize("array,row,bad", [
+        ("X", 3, np.nan), ("y", 3, np.inf), ("X", 35, np.inf),
+        ("y", 35, np.nan)])
+    def test_nonfinite_data_rejected(self, array, row, bad):
+        # checked once when the fit starts, with the error a sweep gives
+        rng = np.random.default_rng(0)
+        data = {"X": rng.standard_normal((40, 2)),
+                "y": rng.standard_normal(40)}
+        data[array][row] = bad
+        ds = from_arrays(data["X"], data["y"],
+                         {"train": np.arange(30),
+                          "validation": np.arange(30, 40)},
+                         task="regression")
+        with pytest.raises(GraphError, match=r"^tensor requires finite "
+                           r"values \(NaN/Inf rejected\)$"):
+            train(build_model("linear", 2, seed=0), ds,
+                  TrainConfig(max_epochs=3, seed=0))
+
     def test_config_validation(self):
         with pytest.raises(TrainingError):
             TrainConfig(lr=-0.1)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import mindkit.diffcore as dc
 from mindkit.errors import TrainingError
 from mindkit.optim import Adam, PlateauSchedule, Run, fit, fit_stack
 
@@ -158,6 +159,26 @@ class TestFit:
         with pytest.raises(TrainingError,
                            match=f"non-finite {which} loss in toy fit"):
             self._run(vals, batch_loss=batch_loss)
+
+    def test_parameter_turned_nonfinite_fails_the_fit(self):
+        # sweeps that skip the finiteness check leave it to the loss check
+        X = dc.constant(np.random.default_rng(1).normal(size=(6, 2)))
+        w = dc.leaf("w", (2, 1))
+        graph = dc.Graph(dc.mean(dc.mul(dc.matmul(X, w), dc.matmul(X, w))))
+        params = {"w": np.ones((2, 1))}
+        steps = iter(range(10 ** 9))
+
+        def after_step():
+            if next(steps) == 2:  # epoch 1's first step: 2 steps an epoch
+                params["w"][0, 0] = np.nan
+
+        with pytest.raises(TrainingError, match="non-finite training loss "
+                           "in toy fit at epoch 1"):
+            fit(params,
+                lambda idx: graph.value_and_grad(params, ["w"], check=False),
+                lambda: graph.evaluate(params, check=False), 6, 3, 5,
+                np.random.default_rng(0), Adam(params, lr=0.1),
+                PlateauSchedule(), "toy fit", after_step)
 
 
 class TestFitStack:

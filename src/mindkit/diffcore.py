@@ -859,6 +859,7 @@ class Graph:
                 grads[j] = (parts[k] if grads[j] is None
                             else bufs.add(grads[j], parts[k]))
             parts = None
+        vals = saved = None  # the nodes below the last VJP step are dead
         out: dict[str, np.ndarray] = {}
         for name in wrt:
             node = self.leaves.get(name)

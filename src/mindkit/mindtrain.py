@@ -277,13 +277,13 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     fc_tr = np.atleast_1d(predict(model, Xtr))
     fc_va = np.atleast_1d(predict(model, Xva))
     extra_tr = template.extra(Xtr)
-    # every restart is validated on the whole validation split
-    val_binds = (np.concatenate([Xva] * R), np.concatenate([fc_va] * R),
-                 {k: np.concatenate([v] * R)
-                  for k, v in template.extra(Xva).items()})
-    for arr in (Xtr, fc_tr, *extra_tr.values(), *val_binds[:2],
-                *val_binds[2].values(), *params.values()):
+    for arr in (fc_tr, fc_va, *extra_tr.values(), *params.values()):
         dc.tensor(arr)  # checked once: the fit's sweeps skip the check
+    # every restart is validated on the whole validation split, whose
+    # extra arrays are checked here (predict checked Xtr and Xva)
+    val_binds = (np.concatenate([Xva] * R), np.concatenate([fc_va] * R),
+                 {k: np.concatenate([dc.tensor(v)] * R)
+                  for k, v in template.extra(Xva).items()})
     opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay,
                decay_keys=template.decay_keys())
     gate_key = template.gate_key

@@ -217,7 +217,7 @@ def _pgd_perturb(graph: dc.Graph, binds: dict, Xb: np.ndarray,
     delta = np.zeros_like(Xb)
     for _ in range(iters):
         binds["x"] = Xb + delta
-        gx = graph.gradient(binds, wrt=("x",))["x"]
+        gx = graph.value_and_grad(binds, wrt=("x",), check=False)[1]["x"]
         delta = np.clip(delta + step * np.sign(gx), -eps, eps)
     return Xb + delta
 
@@ -240,7 +240,7 @@ def train(model: Model, dataset: Dataset,
     step = config.pgd_step if config.pgd_step is not None else eps / 4.0
     names = list(params)
     for arr in (Xtr, ytr, Xva, yva, *params.values()):
-        dc.tensor(arr)  # checked once: the fit's sweeps skip the check
+        dc.tensor(arr)  # checked once: the sweeps, PGD's too, skip it
 
     def loss_and_grad(idx):
         Xb = Xtr[idx]

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mindkit import optim
 from mindkit.data import from_arrays, substream
 from mindkit.errors import DataError, GraphError, TrainingError
 from mindkit.models import (Model, TrainConfig, build_model, load_model,
@@ -207,6 +208,31 @@ class TestAdversarial:
         assert h_reg["train_loss"] == h_adv["train_loss"]
         for k in f_reg.params:
             np.testing.assert_array_equal(f_reg.params[k], f_adv.params[k])
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_parameter_turned_nonfinite_fails_the_fit(self, monkeypatch,
+                                                      adversarial):
+        # the sweeps, the perturbation's included, leave the parameters
+        # unchecked: a NaN shows as a non-finite loss
+        real = optim.fit
+
+        def fit(params, *args):
+            steps = iter(range(10 ** 9))
+
+            def after_step():
+                if next(steps) == 0:  # after the fit's first step
+                    params["w0"][0, 0] = np.nan
+
+            return real(params, *args, after_step)
+
+        monkeypatch.setattr("mindkit.models.fit", fit)
+        ds = blob_dataset(n=80, seed=2)
+        m = build_model("mlp", 2, output="probability", seed=5)
+        cfg = TrainConfig(lr=0.02, batch_size=16, max_epochs=4, seed=7,
+                          adversarial=adversarial)
+        with pytest.raises(TrainingError, match="^non-finite training loss "
+                           "in model training at epoch 0"):
+            train(m, ds, cfg)
 
     def test_pgd_respects_projection_every_iteration(self):
         rng = np.random.default_rng(13)

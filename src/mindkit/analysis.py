@@ -16,7 +16,8 @@ from . import transforms as tf
 from .data import Dataset, substream
 from .errors import AnalysisError, TrainingError
 from .schemas import jsonsafe
-from .models import Model, forward_graph, param_nodes, predict, shuffle_layer
+from .models import (Model, _as_batch, forward_graph, param_nodes, predict,
+                     shuffle_layer)
 
 RIDGE = 1e-8
 COND_LIMIT = 1e12
@@ -140,25 +141,15 @@ def weak_invariance_lambda(sensitivity: float, samples: np.ndarray) -> float:
 def _batch_input_gradient(model: Model, X: np.ndarray) -> np.ndarray:
     """d(sum_i f(X_i))/dX: row i is the gradient at sample i."""
     x = dc.leaf("x", X.shape)
-    f = forward_graph(model, x, param_nodes(model, trainable=False))
+    f = forward_graph(model, x, param_nodes(model))
     graph = dc.Graph(dc.sum_(f))
     return graph.gradient({"x": X}, wrt=["x"])["x"]
-
-
-def _as_model_batch(model: Model, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    want = 2 if model.seq_len is None else 3
-    if X.ndim == want - 1:
-        X = X[None]
-    if X.ndim != want:
-        raise AnalysisError(f"expected a batch with {want} axes, got {X.ndim}")
-    return X
 
 
 def saliency_scores(model: Model, X: np.ndarray) -> np.ndarray:
     """Mean absolute input gradient per feature (pooled over time for
     sequence models). For a linear model this is exactly |beta|."""
-    X = _as_model_batch(model, X)
+    X = _as_batch(model, X)[0]
     G = np.abs(_batch_input_gradient(model, X))
     if G.ndim == 3:
         return G.mean(axis=(0, 2))
@@ -174,7 +165,7 @@ def integrated_gradients(model: Model, X: np.ndarray,
     """
     if steps < 1:
         raise AnalysisError("steps must be positive")
-    X = _as_model_batch(model, X)
+    X = _as_batch(model, X)[0]
     acc = np.zeros_like(X)
     for k in range(steps):
         alpha = (k + 0.5) / steps
@@ -193,7 +184,7 @@ def integrated_gradients_scores(model: Model, X: np.ndarray,
 
 def completeness_gap(model: Model, X: np.ndarray, steps: int = 128) -> float:
     """Largest violation of the IG completeness identity over the batch."""
-    X = _as_model_batch(model, X)
+    X = _as_batch(model, X)[0]
     maps = integrated_gradients(model, X, steps)
     totals = maps.sum(axis=tuple(range(1, maps.ndim)))
     f_x = np.atleast_1d(predict(model, X))

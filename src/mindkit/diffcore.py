@@ -262,10 +262,11 @@ class _Normalize:
         self.axis = axis
 
     def forward(self, x, empty=np.empty):
-        mu = x.mean(axis=self.axis, keepdims=True)
+        n = x.shape[self.axis]
+        mu = np.add.reduce(x, self.axis, keepdims=True) / n
         xc = np.subtract(x, mu, out=empty(x.shape))
         sq = np.multiply(xc, xc, out=empty(x.shape))
-        var = sq.mean(axis=self.axis, keepdims=True)
+        var = np.add.reduce(sq, self.axis, keepdims=True) / n
         sd = np.sqrt(var + _BN_EPS)
         xc /= sd
         return xc, 1.0 / sd
@@ -273,9 +274,10 @@ class _Normalize:
     def vjp(self, g, y, xs, needs, inv, empty=np.empty):
         if not needs[0]:
             return (None,)
-        gm = g.mean(axis=self.axis, keepdims=True)
+        n = g.shape[self.axis]
+        gm = np.add.reduce(g, self.axis, keepdims=True) / n
         tmp = np.multiply(g, y, out=empty(y.shape))
-        gym = tmp.mean(axis=self.axis, keepdims=True)
+        gym = np.add.reduce(tmp, self.axis, keepdims=True) / n
         out = np.subtract(g, gm, out=empty(y.shape))
         out -= np.multiply(y, gym, out=tmp)
         out *= inv
@@ -295,7 +297,9 @@ class _Mean:
         self.axis = axis
 
     def forward(self, x):
-        return np.mean(x, axis=self.axis)
+        # np.mean's arithmetic without its Python wrapper
+        n = x.size if self.axis is None else x.shape[self.axis]
+        return np.add.reduce(x, self.axis) / n
 
     def vjp(self, g, y, xs, needs, saved):
         if not needs[0]:

@@ -27,7 +27,8 @@ from . import diffcore as dc
 from . import transforms as tf
 from .data import Dataset, substream
 from .errors import GraphError, TrainingError, require_finite
-from .models import Model, OUTPUT_KINDS, forward_graph, param_nodes, predict
+from .models import (Model, OUTPUT_KINDS, _as_batch, forward_graph,
+                     param_nodes, predict)
 from .optim import Adam, PlateauSchedule, Run, fit_stack
 
 SIMILARITIES = ("cosine", "inner_product", "l1_gate_weights")
@@ -145,8 +146,7 @@ class _Problem:
         else:   # the one restart's parameters, without the restart axis
             xp = t.graph(x, {k: dc.reshape(v, v.shape[1:])
                              for k, v in nodes.items()})
-        f = forward_graph(self.model, xp,
-                          param_nodes(self.model, trainable=False))
+        f = forward_graph(self.model, xp, param_nodes(self.model))
         fc = dc.leaf("fc", (R * B,))
         diff = dc.sub(f, fc)
         dist_vec = dc.abs_(diff) if cfg.distance == "w1" else dc.mul(diff, diff)
@@ -170,20 +170,20 @@ class _Problem:
             self._graphs[B] = self._build(B)
         return self._graphs[B]
 
-    def bindings(self, X: np.ndarray, fc: np.ndarray, extra: dict) -> dict:
-        return {**self.params, "x": X, "fc": fc, **extra}
+    def bindings(self, rows: dict[str, np.ndarray]) -> dict:
+        """The graph's bindings: the parameters and `rows`, which maps "x",
+        "fc" and the family's extra arrays to the R stacked batches."""
+        return {**self.params, **rows}
 
-    def value_and_grad(self, X, fc, extra):
-        """The R restarts' losses on X, which stacks their batches, and the
-        gradients of their sum."""
-        g = self.graph_for(len(X) // self.restarts)
-        return g.value_and_grad(self.bindings(X, fc, extra),
-                                wrt=list(self.params), seed=self._seed,
-                                check=False)
+    def value_and_grad(self, rows: dict[str, np.ndarray]):
+        """The R restarts' losses on `rows` and the gradients of their sum."""
+        g = self.graph_for(len(rows["x"]) // self.restarts)
+        return g.value_and_grad(self.bindings(rows), wrt=list(self.params),
+                                seed=self._seed, check=False)
 
-    def loss(self, X, fc, extra) -> np.ndarray:
-        g = self.graph_for(len(X) // self.restarts)
-        return g.evaluate(self.bindings(X, fc, extra), check=False)
+    def loss(self, rows: dict[str, np.ndarray]) -> np.ndarray:
+        g = self.graph_for(len(rows["x"]) // self.restarts)
+        return g.evaluate(self.bindings(rows), check=False)
 
 
 def _restart_means(per_row: dc.Node, R: int) -> dc.Node:
@@ -199,12 +199,10 @@ def _unstacked(transform) -> dict[str, np.ndarray]:
 def mind_loss(model: Model, transform, X: np.ndarray,
               config: MindConfig) -> float:
     """Objective value on one batch, for the transform's current parameters."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == (1 if model.seq_len is None else 2):
-        X = X[None]
+    X = _as_batch(model, X)[0]
     problem = _Problem(model, transform, config, _unstacked(transform))
-    fc = np.atleast_1d(predict(model, X))
-    binds = problem.bindings(X, fc, transform.extra(X))
+    binds = problem.bindings({"x": X, "fc": predict(model, X),
+                              **transform.extra(X)})
     return float(problem.graph_for(len(X)).evaluate(binds)[0])
 
 
@@ -274,25 +272,25 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
               for k in template.params}
     problem = _Problem(model, template, config, params)
 
-    fc_tr = np.atleast_1d(predict(model, Xtr))
-    fc_va = np.atleast_1d(predict(model, Xva))
-    extra_tr = template.extra(Xtr)
-    for arr in (fc_tr, fc_va, *extra_tr.values(), *params.values()):
-        dc.tensor(arr)  # checked once: the fit's sweeps skip the check
-    # every restart is validated on the whole validation split, whose
-    # extra arrays are checked here (predict checked Xtr and Xva)
-    val_binds = (np.concatenate([Xva] * R), np.concatenate([fc_va] * R),
-                 {k: np.concatenate([dc.tensor(v)] * R)
-                  for k, v in template.extra(Xva).items()})
-    opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay,
+    train_rows = {"x": Xtr, "fc": predict(model, Xtr), **template.extra(Xtr)}
+    val_rows = {"x": Xva, "fc": predict(model, Xva), **template.extra(Xva)}
+    # the fit's sweeps skip the finiteness check, so every array is checked
+    # once here, but for the x rows, which predict checked
+    for arrays in (params, train_rows, val_rows):
+        for k, v in arrays.items():
+            if k != "x":
+                dc.tensor(v)
+    # every restart is validated on the whole validation split
+    val_rows = {k: np.concatenate([v] * R) for k, v in val_rows.items()}
+    opt = Adam(params, weight_decay=config.weight_decay,
                decay_keys=template.decay_keys())
     gate_key = template.gate_key
     gate_min, gate_max = np.full(R, np.inf), np.full(R, -np.inf)
 
     def loss_and_grad(idx):
         rows = idx.ravel()
-        batch = {k: v[rows] for k, v in extra_tr.items()}
-        return problem.value_and_grad(Xtr[rows], fc_tr[rows], batch)
+        return problem.value_and_grad({k: v[rows]
+                                       for k, v in train_rows.items()})
 
     def after_step():
         # a finished restart's gates were clamped when it was last stepped,
@@ -303,7 +301,7 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         np.minimum(gate_min, per_restart.min(axis=1), out=gate_min)
         np.maximum(gate_max, per_restart.max(axis=1), out=gate_max)
 
-    fit_stack(params, loss_and_grad, lambda: problem.loss(*val_binds),
+    fit_stack(params, loss_and_grad, lambda: problem.loss(val_rows),
               len(Xtr), _batch_size(config, len(Xtr)), config.max_epochs,
               list(runs), opt, after_step if gate_key is not None else None)
     # the graphs and their buffers are done with; free them before the

@@ -22,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from .data import Dataset, substream
 from .errors import DataError, GraphError, TrainingError, require_finite
-from .optim import Adam, PlateauSchedule, fit
+from .optim import Adam, PlateauSchedule, Run, fit_stack
 from .schemas import validate_artifact
 
 ARCHITECTURES = ("linear", "mlp", "seqconv")
@@ -134,10 +134,8 @@ def build_model(kind: str, input_dim: int, *, seq_len: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def param_nodes(model: Model, trainable: bool) -> dict[str, dc.Node]:
-    """Leaves when the model is being fit, constants when it is frozen."""
-    if trainable:
-        return {k: dc.leaf(k, v.shape) for k, v in model.params.items()}
+def param_nodes(model: Model) -> dict[str, dc.Node]:
+    """The frozen model's parameters as constants."""
     return {k: dc.constant(v) for k, v in model.params.items()}
 
 
@@ -171,6 +169,8 @@ def forward_graph(model: Model, x: dc.Node, params: dict[str, dc.Node],
 
 
 def _as_batch(model: Model, X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """X as a batch of the model's instances, and whether it was one
+    instance; a batch of any other rank raises GraphError."""
     X = np.asarray(X, dtype=np.float64)
     expected = 2 if model.seq_len is None else 3
     if X.ndim == expected - 1:
@@ -184,7 +184,7 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray | float:
     """Model output for one instance (scalar) or a batch (vector)."""
     Xb, single = _as_batch(model, X)
     x = dc.leaf("x", Xb.shape)
-    out = forward_graph(model, x, param_nodes(model, trainable=False))
+    out = forward_graph(model, x, param_nodes(model))
     val = dc.Graph(out).evaluate({"x": Xb})
     return float(val[0]) if single else val
 
@@ -230,9 +230,9 @@ def train(model: Model, dataset: Dataset,
     Xva, yva = dataset.split("validation")
     fitted = model.copy()
     params = fitted.params
-    opt = Adam(params, lr=config.lr)
-    sched = PlateauSchedule(config.patience, config.min_delta, config.lr_floor)
-    rng = substream(config.seed, "model-train.shuffle")
+    run = Run("model training", substream(config.seed, "model-train.shuffle"),
+              PlateauSchedule(config.patience, config.min_delta,
+                              config.lr_floor), config.lr)
     graph_for = functools.cache(
         lambda b: _loss_graph(fitted, (b,) + Xtr.shape[1:]))
 
@@ -243,22 +243,27 @@ def train(model: Model, dataset: Dataset,
         dc.tensor(arr)  # checked once: the sweeps, PGD's too, skip it
 
     def loss_and_grad(idx):
-        Xb = Xtr[idx]
-        g = graph_for(len(idx))
-        binds = {**params, "y": ytr[idx]}
+        rows = idx[0]
+        Xb = Xtr[rows]
+        g = graph_for(len(rows))
+        binds = {**params, "y": ytr[rows]}
         if eps > 0:
             Xb = _pgd_perturb(g, dict(binds), Xb, eps, step, config.pgd_iters)
         binds["x"] = Xb
-        return g.value_and_grad(binds, wrt=names, check=False)
+        loss, grads = g.value_and_grad(binds, wrt=names, check=False)
+        return [loss], grads
 
     def val_loss():
-        return graph_for(len(Xva)).evaluate({**params, "x": Xva, "y": yva},
-                                            check=False)
+        return [graph_for(len(Xva)).evaluate({**params, "x": Xva, "y": yva},
+                                             check=False)]
 
-    history, _ = fit(params, loss_and_grad, val_loss, len(Xtr),
-                     config.batch_size, config.max_epochs, rng, opt, sched,
-                     "model training")
-    return fitted, history
+    # a stack of one run; its rate broadcasts over the unstacked parameters
+    fit_stack({k: v[None] for k, v in params.items()}, loss_and_grad,
+              val_loss, len(Xtr), config.batch_size, config.max_epochs, [run],
+              Adam(params))
+    if run.error is not None:
+        raise TrainingError(run.error)
+    return fitted, run.history
 
 
 def shuffle_layer(model: Model, layer_index: int,

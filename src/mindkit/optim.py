@@ -6,22 +6,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError
-
 
 class Adam:
     """Per-parameter first/second-moment updates over a dict of arrays.
 
     `decay_keys` restricts L2 weight decay to the named parameters; every
-    other parameter is updated without decay. `lr` is one rate, or an array
-    of rates along every parameter's leading axis (one per stacked restart).
+    other parameter is updated without decay.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
+    def __init__(self, params: dict[str, np.ndarray],
                  weight_decay: float = 0.0, decay_keys: tuple = (),
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.decay_keys = frozenset(decay_keys)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -29,12 +25,14 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray], lr) -> None:
+        """One update at rate `lr`: one rate, or an array of rates along
+        every parameter's leading axis (one per stacked run)."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        lr = self.lr
+        lr = np.asarray(lr)
         for key, p in self.params.items():
             g = grads[key]
             if self.weight_decay and key in self.decay_keys:
@@ -45,8 +43,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            rate = lr.reshape(lr.shape + (1,) * (p.ndim - 1)) \
-                if isinstance(lr, np.ndarray) else lr
+            rate = lr.reshape(lr.shape + (1,) * (p.ndim - lr.ndim))
             p -= rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
@@ -67,17 +64,18 @@ class PlateauSchedule:
         self.best = np.inf
         self.bad_epochs = 0
 
-    def update(self, loss: float, opt: Adam) -> bool:
-        """Record an epoch loss; returns True while training should continue."""
+    def update(self, loss: float, run: Run) -> bool:
+        """Record an epoch loss, halving `run.lr` on a plateau; returns True
+        while training should continue."""
         if loss < self.best - self.min_delta:
             self.best = loss
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
             if self.bad_epochs >= self.patience:
-                opt.lr /= 2.0
+                run.lr /= 2.0
                 self.bad_epochs = 0
-        return opt.lr >= self.floor
+        return run.lr >= self.floor
 
 
 @dataclass
@@ -136,14 +134,13 @@ def fit_stack(params: dict[str, np.ndarray], loss_and_grad, val_loss,
         for k, v in runs[i].best.items():
             np.copyto(params[k][i], v)
 
-    def refresh() -> list[bool]:
-        # one rate for a single run, so that its arithmetic is that of an
-        # unstacked fit; else one per run, 0 keeping a finished run put
-        opt.lr = runs[0].lr if R == 1 else np.array(
-            [run.lr if run.active else 0.0 for run in runs])
-        return [run.active for run in runs]
+    def refresh() -> tuple[list[bool], np.ndarray]:
+        # one rate per run, 0 keeping a finished run put
+        live = [run.active for run in runs]
+        return live, np.array([run.lr if on else 0.0
+                               for run, on in zip(runs, live)])
 
-    live = refresh()
+    live, rates = refresh()
     for epoch in range(max_epochs):
         if not any(live):
             return
@@ -161,14 +158,14 @@ def fit_stack(params: dict[str, np.ndarray], loss_and_grad, val_loss,
                         "lower lr")
                     failed = True
             if failed:
-                live = refresh()
+                live, rates = refresh()
                 if not any(live):
                     return
             if not all(live):
                 keep = np.array(live)
                 grads = {k: np.where(keep.reshape((R,) + (1,) * (g.ndim - 1)),
                                      g, 0.0) for k, g in grads.items()}
-            opt.step(grads)
+            opt.step(grads, rates)
             if after_step is not None:
                 after_step()
             for i in range(R):
@@ -191,32 +188,8 @@ def fit_stack(params: dict[str, np.ndarray], loss_and_grad, val_loss,
                 run.best = {k: v[i].copy() for k, v in params.items()}
             if not run.sched.update(val, run):
                 finish(i, "lr_floor")
-        live = refresh()
+        live, rates = refresh()
     for i, run in enumerate(runs):
         if run.active:
             finish(i, "max_epochs")
 
-
-def fit(params: dict[str, np.ndarray], loss_and_grad, val_loss, n: int,
-        batch_size: int, max_epochs: int, rng: np.random.Generator,
-        opt: Adam, sched: PlateauSchedule, what: str,
-        after_step=None) -> tuple[dict, str]:
-    """One fit, as a stack of one; returns (history, stop reason).
-
-    `loss_and_grad(idx)` takes the batch's row indices and gives its loss
-    and the gradients of `params`; `val_loss()` gives one loss. A
-    non-finite loss raises TrainingError naming `what`. Otherwise as
-    `fit_stack`: on return `params` hold the best-validation values.
-    """
-    run = Run(what, rng, sched, opt.lr)
-
-    def stacked_loss_and_grad(idx):
-        loss, grads = loss_and_grad(idx[0])
-        return [loss], grads
-
-    fit_stack({k: v[None] for k, v in params.items()}, stacked_loss_and_grad,
-              lambda: [val_loss()], n, batch_size, max_epochs, [run], opt,
-              after_step)
-    if run.error is not None:
-        raise TrainingError(run.error)
-    return run.history, run.stop_reason

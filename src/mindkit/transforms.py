@@ -95,12 +95,14 @@ def make_basis(kind: str, T: int, K: int | None = None,
         K = 4 if K is None else int(K)
         if K < 1 or T % K != 0:
             raise GraphError(f"pulse basis needs K dividing T, got K={K}, T={T}")
+        if residual_channel:
+            raise GraphError("pulse basis takes no residual channel: its "
+                             "window routing is already lossless")
         width = T // K
         vectors = np.zeros((K, T))
         for k in range(K):
             vectors[k, k * width:(k + 1) * width] = 1.0 / np.sqrt(width)
-        residual = False if residual_channel is None else residual_channel
-        return BasisSet("pulse", vectors, residual)
+        return BasisSet("pulse", vectors, False)
     raise GraphError(f"unknown basis kind {kind!r}")
 
 

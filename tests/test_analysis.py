@@ -14,11 +14,11 @@ from mindkit.analysis import (ClosedFormInputs, SanityOutcome,
                               restart_baseline, saliency_scores, sanity_check,
                               second_moment, spearman, weak_invariance_lambda)
 from mindkit.data import from_arrays
-from mindkit.errors import AnalysisError, TrainingError
+from mindkit.errors import AnalysisError, GraphError, TrainingError
 from mindkit.mindtrain import MindConfig, MindResult, multi_restart
-from mindkit.models import build_model
+from mindkit.models import TrainConfig, build_model, train
 from mindkit.schemas import validate_artifact
-from mindkit.transforms import TransformSpec
+from mindkit.transforms import TransformSpec, make_basis
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -203,6 +203,14 @@ class TestSaliency:
         np.testing.assert_allclose(saliency_scores(m, np.array([1.0, 1.0])),
                                    [2.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("kind,shape", [("mlp", (2, 2, 3)),
+                                            ("seqconv", (2, 2, 3, 8))])
+    def test_wrong_rank_input_is_rejected(self, kind, shape):
+        # the batch rule, and the error, are predict's
+        m = build_model(kind, 3, seq_len=8, hidden=(4,), seed=2)
+        with pytest.raises(GraphError, match=f"^{kind} expects"):
+            saliency_scores(m, np.ones(shape))
+
 
 class TestIntegratedGradients:
     def test_homogeneous_linear_attribution_is_exact(self):
@@ -237,6 +245,13 @@ class TestIntegratedGradients:
         m = linear_model([1.0])
         with pytest.raises(AnalysisError, match="positive"):
             integrated_gradients(m, np.ones((2, 1)), steps=0)
+
+    @pytest.mark.parametrize("kind,shape", [("mlp", (2, 2, 3)),
+                                            ("seqconv", (2, 2, 3, 8))])
+    def test_wrong_rank_input_is_rejected(self, kind, shape):
+        m = build_model(kind, 3, seq_len=8, hidden=(4,), seed=2)
+        with pytest.raises(GraphError, match=f"^{kind} expects"):
+            integrated_gradients(m, np.ones(shape), steps=2)
 
 
 class TestSpearman:
@@ -487,11 +502,17 @@ class TestSanityHarness:
                          {"train": np.arange(60),
                           "validation": np.arange(60, 80)})
         m = build_model("seqconv", 3, seq_len=6, hidden=(4,), seed=3)
+        train(m, ds, TrainConfig(batch_size=16, max_epochs=2, seed=3))
         spec = TransformSpec("gating", intercept=False)
         cfg = MindConfig(lam=0.1, restarts=2, top_k=1, max_epochs=2, seed=4)
         ref = multi_restart(m, spec, ds, cfg).mean
         restart_baseline(m, spec, ds, cfg, ref, instances=1, seed=5)
         sanity_check(m, spec, ds, cfg, ref, shuffles=1, seed=6)
+        for other in (TransformSpec("basis", basis=make_basis("chebyshev",
+                                                              6, 3)),
+                      TransformSpec("basis", basis=make_basis("pulse", 6, 3)),
+                      TransformSpec("residual", intercept=False)):
+            multi_restart(m, other, ds, cfg)
         assert capfd.readouterr() == ("", "")
 
     def test_real_end_to_end_smoke(self):

@@ -468,11 +468,12 @@ class TestSavedValues:
         got, wanted = [], []
         for step in range(3):
             X[train] += 0.1
-            got.append((*shared.value_and_grad(X[train], fc[train], {}),
-                        shared.loss(X[val], fc[val], {})))
-            wanted.append((*self._unpooled(lambda: problem().value_and_grad(
-                X[train], fc[train], {})), self._unpooled(
-                lambda: problem().loss(X[val], fc[val], {}))))
+            tr = {"x": X[train], "fc": fc[train]}
+            va = {"x": X[val], "fc": fc[val]}
+            got.append((*shared.value_and_grad(tr), shared.loss(va)))
+            wanted.append((*self._unpooled(
+                lambda: problem().value_and_grad(tr)),
+                self._unpooled(lambda: problem().loss(va))))
         # every step's results are checked after the later steps' sweeps
         for (loss, grads, val_loss), (want_loss, want, want_val) in zip(
                 got, wanted):
@@ -608,8 +609,8 @@ class TestBufferPool:
         X, fc = rng.normal(size=(11, 3, 8)), rng.uniform(size=11)
 
         def sweep():  # one training step and one validation pass
-            return (*problem.value_and_grad(X[:5], fc[:5], {}),
-                    problem.loss(X[5:], fc[5:], {}))
+            return (*problem.value_and_grad({"x": X[:5], "fc": fc[:5]}),
+                    problem.loss({"x": X[5:], "fc": fc[5:]}))
 
         def pools():
             return {B: (len(g._bufs.bufs),
@@ -642,7 +643,7 @@ def test_residual_training_pool_holds_no_more_than_per_node_liveness():
     rng = np.random.default_rng(6)
     X, fc = rng.normal(size=(90, 6, 12)), rng.uniform(size=90)
     for _ in range(3):
-        problem.value_and_grad(X, fc, {})
+        problem.value_and_grad({"x": X, "fc": fc})
     bufs = problem.graph_for(90)._bufs.bufs
     assert len(bufs) <= 16
     assert sum(b.nbytes for b in bufs) <= 4_950_720

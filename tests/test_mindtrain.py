@@ -563,8 +563,8 @@ def nan_loss_at(monkeypatch, step, index):
     real = mt._Problem.value_and_grad
     calls = iter(range(10 ** 9))
 
-    def patched(self, X, fc, extra):
-        losses, grads = real(self, X, fc, extra)
+    def patched(self, rows):
+        losses, grads = real(self, rows)
         if next(calls) == step:
             losses = losses.copy()
             losses[index] = np.nan
@@ -616,10 +616,10 @@ class TestStackedRestarts:
         real = mt._Problem.value_and_grad
         calls = iter(range(10 ** 9))
 
-        def patched(self, X, fc, extra):
+        def patched(self, rows):
             if next(calls) == 3:
                 self.params[self.transform.gate_key][1, 0] = np.nan
-            return real(self, X, fc, extra)
+            return real(self, rows)
 
         monkeypatch.setattr(mt._Problem, "value_and_grad", patched)
         res = multi_restart(m, TransformSpec("gating"), ds, cfg)

@@ -214,18 +214,18 @@ class TestAdversarial:
                                                       adversarial):
         # the sweeps, the perturbation's included, leave the parameters
         # unchecked: a NaN shows as a non-finite loss
-        real = optim.fit
+        real = optim.fit_stack
 
-        def fit(params, *args):
+        def fit_stack(params, *args):
             steps = iter(range(10 ** 9))
 
             def after_step():
                 if next(steps) == 0:  # after the fit's first step
-                    params["w0"][0, 0] = np.nan
+                    params["w0"][0, 0, 0] = np.nan
 
             return real(params, *args, after_step)
 
-        monkeypatch.setattr("mindkit.models.fit", fit)
+        monkeypatch.setattr("mindkit.models.fit_stack", fit_stack)
         ds = blob_dataset(n=80, seed=2)
         m = build_model("mlp", 2, output="probability", seed=5)
         cfg = TrainConfig(lr=0.02, batch_size=16, max_epochs=4, seed=7,

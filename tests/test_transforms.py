@@ -1,4 +1,6 @@
 """Transformation families, temporal bases, lossless encode/decode, clamps."""
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,15 @@ class TestBases:
             make_basis("pulse", 10, 3)
         with pytest.raises(GraphError, match="unknown basis"):
             make_basis("fourier", 10, 2)
+
+    def test_pulse_basis_rejects_a_residual_channel(self):
+        # gating routes whole windows, so a residual channel would be a
+        # channel that no gate stack holds
+        with pytest.raises(GraphError, match="pulse basis takes no "
+                           "residual channel"):
+            make_basis("pulse", 12, 4, residual_channel=True)
+        assert make_basis("pulse", 12, 4, residual_channel=False).n_channels \
+            == 4
 
     def test_channel_names(self):
         cheb = make_basis("chebyshev", 12, 3)
@@ -334,6 +345,20 @@ class TestInitAndCheckpoints:
             np.testing.assert_array_equal(back.basis.vectors, basis.vectors)
             np.testing.assert_array_equal(
                 apply_transform(back, X), apply_transform(t, X))
+
+    def test_checkpoint_asking_for_a_pulse_residual_is_rejected(self,
+                                                                 tmp_path):
+        t = init_transform(TransformSpec("basis", basis=make_basis(
+            "pulse", 12, 4)), 3, 12, rng_for(26))
+        path = tmp_path / "t.json"
+        save_transform(t, path)
+        doc = json.loads(path.read_text())
+        doc["basis"]["residual_channel"] = True
+        doc["params"]["gates"] = [row + [1.0] for row in doc["params"]["gates"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match="pulse basis takes no "
+                           "residual channel"):
+            load_transform(path)
 
     def test_checkpoint_without_params_is_a_data_error(self, tmp_path):
         path = tmp_path / "t.json"

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import schemas
 from .errors import DataError, require_finite
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -99,11 +98,10 @@ def from_arrays(X, y, splits, feature_names=None, instance_ids=None,
 
 def save_dataset(ds: Dataset, data_path, sidecar_path) -> None:
     """Write raw feature values (full float precision) plus the JSON sidecar."""
-    data_path, sidecar_path = Path(data_path), Path(sidecar_path)
     seq = ds.seq_len
     header = ["instance_id"] + (["timestamp"] if seq else []) \
         + ds.feature_names + ["label"]
-    with data_path.open("w", newline="") as fh:
+    with open(data_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, iid in enumerate(ds.instance_ids):
@@ -120,25 +118,12 @@ def save_dataset(ds: Dataset, data_path, sidecar_path) -> None:
         "splits": {k: [ds.instance_ids[i] for i in v]
                    for k, v in ds.splits.items()},
     }
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    schemas.write_json(sidecar_path, sidecar)
 
 
 def load_dataset(data_path, sidecar_path) -> Dataset:
-    data_path, sidecar_path = Path(data_path), Path(sidecar_path)
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read sidecar {sidecar_path}: {exc}") from exc
-    split_ids = sidecar.get("splits", {}) if isinstance(sidecar, dict) \
-        else None
-    if not isinstance(split_ids, dict) or not all(
-            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-            for ids in split_ids.values()):
-        raise DataError(f"sidecar {sidecar_path} must be a JSON object whose "
-                        f"splits map names to lists of instance ids")
-    task = sidecar.get("task", "classification")
-
-    with data_path.open(newline="") as fh:
+    sidecar = schemas.read_json(sidecar_path, expect="mindkit.dataset/1")
+    with open(data_path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -165,6 +150,8 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
             t = int(row[1]) if has_time else 0
         except ValueError as exc:
             raise DataError(f"{data_path}:{ln}: non-numeric value") from exc
+        if not (math.isfinite(label) and all(map(math.isfinite, vals))):
+            raise DataError(f"{data_path}:{ln}: non-finite value")
         if iid not in per_inst:
             per_inst[iid] = []
             order.append(iid)
@@ -197,7 +184,7 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
     id_index = {iid: i for i, iid in enumerate(order)}
     splits = {}
     seen: set[str] = set()
-    for name, ids in split_ids.items():
+    for name, ids in sidecar["splits"].items():
         unknown = [i for i in ids if i not in id_index]
         if unknown:
             raise DataError(f"split {name!r} references unknown ids {unknown[:3]}")
@@ -206,7 +193,7 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
             raise DataError(f"ids assigned to more than one split: {sorted(overlap)[:3]}")
         seen.update(ids)
         splits[name] = np.array([id_index[i] for i in ids], dtype=int)
-    return Dataset(X, y, splits, feat_names, order, task)
+    return Dataset(X, y, splits, feat_names, order, sidecar["task"])
 
 
 # ---------------------------------------------------------------------------

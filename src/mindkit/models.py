@@ -13,17 +13,15 @@ downstream code interprets the output distribution.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
+from . import schemas
 from .data import Dataset, substream
 from .errors import DataError, GraphError, TrainingError, require_finite
 from .optim import Adam, PlateauSchedule, Run, fit_stack
-from .schemas import validate_artifact
 
 ARCHITECTURES = ("linear", "mlp", "seqconv")
 OUTPUT_KINDS = ("probability", "regression", "gaussian")
@@ -303,17 +301,11 @@ def save_model(model: Model, path) -> None:
         "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
                    for k, v in model.params.items()},
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    schemas.write_json(path, doc)
 
 
 def load_model(path) -> Model:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphError(f"cannot read model checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != "mindkit.model/1":
-        raise GraphError(f"not a model checkpoint: {path}")
-    validate_artifact(doc)
+    doc = schemas.read_json(path, expect="mindkit.model/1")
     try:
         params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
                   for k, v in doc["params"].items()}

@@ -312,12 +312,17 @@ def write_json(path, doc: dict) -> None:
 
 
 def read_json(path, expect: str | None = None) -> dict:
+    """Read one artifact and check it against its schema and, when given,
+    the schema id `expect`; every error names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    name = validate_artifact(doc)
+    try:
+        name = validate_artifact(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if expect is not None and name != expect:
         raise DataError(f"{path} holds {name}, expected {expect}")
     return doc

@@ -14,15 +14,13 @@ Three families:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
+from . import schemas
 from .errors import DataError, GraphError
-from .schemas import validate_artifact
 
 GATE_INIT_NOISE = 0.02
 RESIDUAL_KERNEL = 5
@@ -459,17 +457,11 @@ def apply_transform(t, X: np.ndarray, seq: bool | None = None) -> np.ndarray:
 
 def save_transform(t, path) -> None:
     doc = {"schema": "mindkit.transform/1", "kind": t.kind, **t.to_doc()}
-    Path(path).write_text(json.dumps(doc) + "\n")
+    schemas.write_json(path, doc)
 
 
 def load_transform(path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphError(f"cannot read transform checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != "mindkit.transform/1":
-        raise GraphError(f"not a transform checkpoint: {path}")
-    validate_artifact(doc)
+    doc = schemas.read_json(path, expect="mindkit.transform/1")
     try:
         return TRANSFORMS[doc["kind"]].from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -299,6 +299,23 @@ class TestTrainModel:
         assert (tmp_path / "again" / "model.json").read_bytes() \
             == pipeline["model"].read_bytes()
 
+    def test_sidecar_without_task_is_a_structured_error(self, pipeline,
+                                                        tmp_path, capsys):
+        side = tmp_path / "side.json"
+        doc = read(pipeline["data"].parent / "data.sidecar.json")
+        del doc["task"]
+        side.write_text(json.dumps(doc))
+        assert main(["train-model", "--data", str(pipeline["data"]),
+                     "--sidecar", str(side), "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        doc = json.loads(lines[0])
+        assert doc["error"] == "DataError" and doc["command"] == "train-model"
+        assert doc["message"] == (f"{side}: artifact does not match "
+                                  "mindkit.dataset/1: /task: required field "
+                                  "is missing")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_is_a_structured_error(self, tmp_path, capsys):
         doc = structured_error(
             capsys, ["train-model", "--data", str(tmp_path / "nope.csv"),
@@ -433,16 +450,25 @@ class TestMalformedInputs:
         assert "lambda must be finite" in doc["message"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("sidecar", [
-        '[1, 2]', '{"splits": {"train": 5}}', '{"splits": [1]}'])
-    def test_malformed_sidecar(self, pipeline, tmp_path, capsys, sidecar):
+    @pytest.mark.parametrize("sidecar,message", [
+        pytest.param('[1, 2]', "artifact lacks a 'schema' field",
+                     id='[1, 2]'),
+        pytest.param({"train": 5}, "/splits/train: expected array, got 5",
+                     id='{"splits": {"train": 5}}'),
+        pytest.param([1], "/splits: expected object, got [1]",
+                     id='{"splits": [1]}')])
+    def test_malformed_sidecar(self, pipeline, tmp_path, capsys, sidecar,
+                               message):
         side = tmp_path / "side.json"
-        side.write_text(sidecar)
+        side.write_text(sidecar if isinstance(sidecar, str) else json.dumps(
+            {"schema": "mindkit.dataset/1", "task": "classification",
+             "splits": sidecar}))
         doc = self._one_error_line(capsys, self._train_transform(
             pipeline, tmp_path, pipeline["mind_cfg"])
             + ["--sidecar", str(side)])
         assert doc["error"] == "DataError"
-        assert "sidecar" in doc["message"]
+        assert doc["message"].startswith(f"{side}: ")
+        assert doc["message"].endswith(message)
 
     def test_model_checkpoint_without_params(self, pipeline, tmp_path,
                                              capsys):

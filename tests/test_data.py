@@ -1,4 +1,6 @@
 """Dataset container, CSV round-trip, synthetic generator with ground truth."""
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,31 @@ from mindkit.data import (Dataset, SyntheticSpec, from_arrays,
                           generate_synthetic, load_dataset, save_dataset,
                           substream)
 from mindkit.errors import DataError
+
+
+def sidecar_text(splits):
+    return json.dumps({"schema": "mindkit.dataset/1",
+                       "task": "classification", "splits": splits})
+
+
+# each sidecar's error after the "<path>: " prefix; ids show the splits
+MALFORMED_SIDECARS = [
+    pytest.param('[1, 2]', "artifact lacks a 'schema' field", id='[1, 2]'),
+    pytest.param(sidecar_text({"train": 5}), "artifact does not match "
+                 "mindkit.dataset/1: /splits/train: expected array, got 5",
+                 id='{"splits": {"train": 5}}'),
+    pytest.param(sidecar_text([1]), "artifact does not match "
+                 "mindkit.dataset/1: /splits: expected object, got [1]",
+                 id='{"splits": [1]}'),
+    pytest.param(sidecar_text({"train": [["i0"]]}), "artifact does not "
+                 "match mindkit.dataset/1: /splits/train/0: expected string, "
+                 "got ['i0']", id='{"splits": {"train": [["i0"]]}}'),
+    # a missing task once defaulted to classification, so a regression
+    # dataset trained a Bernoulli head on continuous labels
+    pytest.param('{"schema": "mindkit.dataset/1", "splits": {"train": '
+                 '["i0"]}}', "artifact does not match mindkit.dataset/1: "
+                 "/task: required field is missing", id="no task"),
+]
 
 
 def small_dataset(seed=0, n=20, d=3, seq_len=None, **kw):
@@ -107,7 +134,7 @@ class TestCsvRoundTrip:
             "i0,0,1.0,1\n"
             "i0,1,2.0,0\n")
         side = tmp_path / "bad.sidecar.json"
-        side.write_text('{"splits": {"train": ["i0"]}}')
+        side.write_text(sidecar_text({"train": ["i0"]}))
         with pytest.raises(DataError, match="conflicting labels"):
             load_dataset(path, side)
 
@@ -119,15 +146,15 @@ class TestCsvRoundTrip:
             "i0,1,2.0,1\n"
             "i1,0,3.0,0\n")
         side = tmp_path / "bad.sidecar.json"
-        side.write_text('{"splits": {"train": ["i0", "i1"]}}')
-        with pytest.raises(DataError, match="timestamp"):
+        side.write_text(sidecar_text({"train": ["i0", "i1"]}))
+        with pytest.raises(DataError, match="inconsistent timestamp counts"):
             load_dataset(path, side)
 
     def test_unknown_split_id_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("instance_id,a,label\ni0,1.0,1\n")
         side = tmp_path / "d.sidecar.json"
-        side.write_text('{"splits": {"train": ["i0", "ghost"]}}')
+        side.write_text(sidecar_text({"train": ["i0", "ghost"]}))
         with pytest.raises(DataError, match="unknown ids"):
             load_dataset(path, side)
 
@@ -136,7 +163,7 @@ class TestCsvRoundTrip:
         path.write_text("instance_id,a,label\ni0,1.0,1\ni1,2.0,0\n")
         side = tmp_path / "d.sidecar.json"
         side.write_text(
-            '{"splits": {"train": ["i0", "i1"], "validation": ["i0"]}}')
+            sidecar_text({"train": ["i0", "i1"], "validation": ["i0"]}))
         with pytest.raises(DataError, match="more than one split"):
             load_dataset(path, side)
 
@@ -144,28 +171,37 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text("instance_id,a,b,label\ni0,1.0,1\n")
         side = tmp_path / "d.sidecar.json"
-        side.write_text('{"splits": {"train": ["i0"]}}')
+        side.write_text(sidecar_text({"train": ["i0"]}))
         with pytest.raises(DataError, match="expected 4 fields"):
             load_dataset(path, side)
 
-    @pytest.mark.parametrize("sidecar", [
-        '[1, 2]', '{"splits": {"train": 5}}', '{"splits": [1]}',
-        '{"splits": {"train": [["i0"]]}}'])
-    def test_malformed_sidecar_rejected(self, tmp_path, sidecar):
+    @pytest.mark.parametrize("sidecar,message", MALFORMED_SIDECARS)
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar, message):
         path = tmp_path / "d.csv"
         path.write_text("instance_id,a,label\ni0,1.0,1\n")
         side = tmp_path / "d.sidecar.json"
         side.write_text(sidecar)
-        with pytest.raises(DataError, match="sidecar"):
+        with pytest.raises(DataError) as err:
             load_dataset(path, side)
+        assert str(err.value) == f"{side}: {message}"
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("instance_id,a,label\ni0,oops,1\n")
         side = tmp_path / "d.sidecar.json"
-        side.write_text('{"splits": {"train": ["i0"]}}')
+        side.write_text(sidecar_text({"train": ["i0"]}))
         with pytest.raises(DataError, match="non-numeric"):
             load_dataset(path, side)
+
+    @pytest.mark.parametrize("row", ["i1,nan,1", "i1,-inf,1", "i1,2.0,inf"])
+    def test_non_finite_value_rejected(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(f"instance_id,a,label\ni0,1.0,0\n{row}\n")
+        side = tmp_path / "d.sidecar.json"
+        side.write_text(sidecar_text({"train": ["i0", "i1"]}))
+        with pytest.raises(DataError) as err:
+            load_dataset(path, side)
+        assert str(err.value) == f"{path}:3: non-finite value"
 
 
 class TestSubstream:

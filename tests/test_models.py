@@ -336,8 +336,28 @@ class TestCheckpoints:
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"schema": "something-else"}')
-        with pytest.raises(GraphError, match="not a model checkpoint"):
+        with pytest.raises(DataError, match="unknown schema 'something-else'"):
             load_model(path)
+
+    def test_rejects_a_report_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "schema": "mindkit.report/1", "score_kind": "gates",
+            "lambda": 0.1, "features": [], "score_mean": [], "score_std": [],
+            "correlation_mean": [], "correlation_std": [],
+            "restarts": {"selected": [], "failed": [], "runs": []},
+            "config": {}}))
+        with pytest.raises(DataError) as err:
+            load_model(path)
+        assert str(err.value) == \
+            f"{path} holds mindkit.report/1, expected mindkit.model/1"
+
+    def test_save_validates_before_writing(self, tmp_path):
+        path = tmp_path / "model.json"
+        bad = replace(build_model("linear", 2, seed=0), seed="x")
+        with pytest.raises(DataError, match="/seed: expected integer or null"):
+            save_model(bad, path)
+        assert not path.exists()
 
     def test_checkpoint_without_params_is_a_data_error(self, tmp_path):
         path = tmp_path / "model.json"
@@ -345,7 +365,8 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         del doc["params"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="params"):
+        with pytest.raises(DataError,
+                           match="/params: required field is missing"):
             load_model(path)
         doc["params"] = {"w": {"shape": [3, 1], "data": [1.0, 2.0]}}
         path.write_text(json.dumps(doc))

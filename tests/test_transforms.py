@@ -363,7 +363,8 @@ class TestInitAndCheckpoints:
     def test_checkpoint_without_params_is_a_data_error(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('{"schema": "mindkit.transform/1", "kind": "gating"}')
-        with pytest.raises(DataError, match="params"):
+        with pytest.raises(DataError,
+                           match="/params: required field is missing"):
             load_transform(path)
         path.write_text('{"schema": "mindkit.transform/1", "kind": "gating", '
                         '"params": {"g": [1.0], "b": [0.0]}}')
@@ -373,5 +374,13 @@ class TestInitAndCheckpoints:
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"schema": "something-else"}')
-        with pytest.raises(GraphError, match="not a transform checkpoint"):
+        with pytest.raises(DataError, match="unknown schema 'something-else'"):
             load_transform(path)
+
+    def test_save_validates_before_writing(self, tmp_path):
+        t = init_transform(TransformSpec("gating"), 3, None, rng_for(3))
+        t.intercept = "yes"
+        path = tmp_path / "t.json"
+        with pytest.raises(DataError, match="/intercept: expected boolean"):
+            save_transform(t, path)
+        assert not path.exists()

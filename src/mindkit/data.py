@@ -123,13 +123,15 @@ def save_dataset(ds: Dataset, data_path, sidecar_path) -> None:
 
 def load_dataset(data_path, sidecar_path) -> Dataset:
     sidecar = schemas.read_json(sidecar_path, expect="mindkit.dataset/1")
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{data_path} is empty") from None
-        rows = list(reader)
+    try:
+        with open(data_path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {data_path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{data_path} is empty")
     if not header or header[0] != "instance_id" or header[-1] != "label":
         raise DataError("header must run instance_id[,timestamp],<features>,label")
     has_time = len(header) > 1 and header[1] == "timestamp"

@@ -12,7 +12,7 @@ import sys
 from typing import Iterable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GraphError
 
@@ -136,8 +136,8 @@ class _Conv1d:
 
     Input (B, Cin, T), weight (Cout, Cin // groups, K); stride is fixed at 1.
     The forward pass lays the zero-padded input out as window columns
-    (B, G, Cin/G * K, Tout), as in im2col, and runs one batched GEMM against
-    the weight; the columns are saved for the weight gradient.
+    (B, G, Cin/G * K, Tout), as in im2col, and runs one batched GEMM
+    against the weight; the columns are saved for the weight gradient.
     """
 
     saves = buffered = True
@@ -161,11 +161,11 @@ class _Conv1d:
         tout = T + 2 * p - d * (K - 1)
         if K == 1:  # the input is its own columns
             cols = xp.reshape(B, G, cg, tout)
-        else:
-            win = sliding_window_view(xp, (K - 1) * d + 1, axis=2)[..., ::d]
+        else:  # one copy of a (B, Cin, K, Tout) strided view of xp
+            sb, sc, st = xp.strides
             cols = empty((B, G, cg * K, tout))
-            cols.reshape(B, G, cg, K, tout)[...] = \
-                win.reshape(B, G, cg, tout, K).transpose(0, 1, 2, 4, 3)
+            cols.reshape(B, cin, K, tout)[...] = as_strided(
+                xp, (B, cin, K, tout), (sb, sc, d * st, st), writeable=False)
         out = empty((B, cout, tout))
         np.matmul(w.reshape(G, cout // G, cg * K), cols,
                   out=out.reshape(B, G, cout // G, tout))
@@ -248,6 +248,27 @@ class _Sigmoid:
         return (g * y * (1.0 - y) if needs[0] else None,)
 
 
+def _axis_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """x summed over one axis, kept as a length-1 axis.
+
+    np.add.reduce pays a large fixed cost to reduce a short axis; einsum
+    does not. Over a middle axis einsum adds the same slices in the same
+    order, so the bits are np.add.reduce's, except with only unit axes
+    after it, where np.add.reduce is kept. Over the trailing axis the bits
+    differ in the last place, but each row is still summed on its own (a
+    dot with ones would be quicker, but BLAS sums a batch's tail rows in
+    another order, so a row's sum would depend on its batch).
+    """
+    axis %= x.ndim
+    n, inner = x.shape[axis], math.prod(x.shape[axis + 1:])
+    kept = x.shape[:axis] + (1,) + x.shape[axis + 1:]
+    if axis == x.ndim - 1:
+        return np.einsum("it->i", x.reshape(-1, n)).reshape(kept)
+    if inner > 1:
+        return np.einsum("ict->it", x.reshape(-1, n, inner)).reshape(kept)
+    return np.add.reduce(x, axis, keepdims=True)
+
+
 class _Normalize:
     """Zero-mean unit-variance rescaling along one axis (default trailing).
 
@@ -263,10 +284,10 @@ class _Normalize:
 
     def forward(self, x, empty=np.empty):
         n = x.shape[self.axis]
-        mu = np.add.reduce(x, self.axis, keepdims=True) / n
+        mu = _axis_sum(x, self.axis) / n
         xc = np.subtract(x, mu, out=empty(x.shape))
         sq = np.multiply(xc, xc, out=empty(x.shape))
-        var = np.add.reduce(sq, self.axis, keepdims=True) / n
+        var = _axis_sum(sq, self.axis) / n
         sd = np.sqrt(var + _BN_EPS)
         xc /= sd
         return xc, 1.0 / sd
@@ -275,9 +296,9 @@ class _Normalize:
         if not needs[0]:
             return (None,)
         n = g.shape[self.axis]
-        gm = np.add.reduce(g, self.axis, keepdims=True) / n
+        gm = _axis_sum(g, self.axis) / n
         tmp = np.multiply(g, y, out=empty(y.shape))
-        gym = np.add.reduce(tmp, self.axis, keepdims=True) / n
+        gym = _axis_sum(tmp, self.axis) / n
         out = np.subtract(g, gm, out=empty(y.shape))
         out -= np.multiply(y, gym, out=tmp)
         out *= inv

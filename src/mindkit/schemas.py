@@ -307,8 +307,11 @@ def validate_artifact(doc: dict) -> str:
 def write_json(path, doc: dict) -> None:
     """Validate and write one artifact (strict JSON, trailing newline)."""
     validate_artifact(doc)
-    Path(path).write_text(
-        json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:  # a non-finite float
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path, expect: str | None = None) -> dict:
@@ -317,7 +320,7 @@ def read_json(path, expect: str | None = None) -> dict:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         name = validate_artifact(doc)

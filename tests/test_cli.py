@@ -322,6 +322,29 @@ class TestTrainModel:
                      "--out", str(tmp_path / "o")], "train-model")
         assert doc["error"] == "DataError"
 
+    @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8",
+                                       "oversized field"])
+    def test_unreadable_data_beside_a_sidecar_is_a_structured_error(
+            self, pipeline, tmp_path, capsys, fault):
+        data = tmp_path / "data.csv"
+        if fault == "directory":
+            data.mkdir()
+        elif fault == "non-utf8":
+            data.write_bytes(b"instance_id,f0,label\n\xff\xfe,1.0,0\n")
+        elif fault == "oversized field":
+            data.write_text("instance_id,f0,label\n" + "1" * 200_000 + ",1,0\n")
+        assert main(["train-model", "--data", str(data), "--sidecar",
+                     str(pipeline["data"].parent / "data.sidecar.json"),
+                     "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        doc = json.loads(lines[0])
+        assert doc["schema"] == "mindkit.error/1"
+        assert doc["error"] == "DataError" and doc["command"] == "train-model"
+        if fault != "non-utf8":  # decoding follows the locale
+            assert doc["message"].startswith(f"cannot read {data}: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestTransformPipeline:
     def test_planted_feature_flagged(self, pipeline):

@@ -313,6 +313,73 @@ class TestConv1d:
         assert_grads_match(g, {"x": xv, "w": wv}, ["x", "w"])
 
 
+def _window_columns(x, K, padding, dilation, groups):
+    """im2col columns (B, G, Cin/G * K, Tout) from a sliding window view."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    B, cin, T = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    tout = T + 2 * padding - dilation * (K - 1)
+    win = sliding_window_view(xp, (K - 1) * dilation + 1, axis=2)
+    win = win[..., ::dilation].reshape(B, groups, cin // groups, tout, K)
+    return win.transpose(0, 1, 2, 4, 3).reshape(B, groups, -1, tout)
+
+
+class TestSeqKernels:
+    """normalize's sums and conv1d's columns against the numpy expressions
+    they replace, bit for bit where the seq models' values must not move."""
+
+    @pytest.mark.parametrize("B", [1, 20, 32, 90, 100, 120])
+    def test_channel_sums_are_add_reduce_bit_for_bit(self, B):
+        rng = np.random.default_rng(B)
+        for C in (6, 8, 16, 18):
+            for T in (1, 2, 12):
+                x = rng.normal(size=(B, C, T))
+                np.testing.assert_array_equal(
+                    dc._axis_sum(x, 1), np.add.reduce(x, 1, keepdims=True),
+                    err_msg=f"shape {x.shape}")
+
+    def test_channel_sums_without_time_take_add_reduce(self, monkeypatch):
+        # einsum and np.add.reduce disagree in the last bits when T = 1
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum called")
+        x = np.random.default_rng(0).normal(size=(20, 16, 1))
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        np.testing.assert_array_equal(dc._axis_sum(x, 1),
+                                      np.add.reduce(x, 1, keepdims=True))
+
+    def test_time_sums_of_a_row_do_not_depend_on_its_batch(self):
+        x = np.random.default_rng(1).normal(size=(101, 18, 12))
+        full = dc._axis_sum(x, -1)
+        np.testing.assert_allclose(full, np.add.reduce(x, -1, keepdims=True),
+                                   rtol=1e-14, atol=1e-14)
+        for lo, hi in [(0, 1), (3, 10), (7, 8), (50, 101)]:
+            np.testing.assert_array_equal(dc._axis_sum(x[lo:hi], -1),
+                                          full[lo:hi])
+
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2, 6])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_im2col_columns_are_window_columns(self, K, dilation, groups,
+                                               padding):
+        rng = np.random.default_rng(K * 100 + dilation * 10 + groups)
+        x = rng.normal(size=(5, 6, 12))
+        w = rng.normal(size=(6, 6 // groups, K))
+        op = dc._Conv1d(padding, dilation, groups)
+        _, cols = op.forward(x, w)
+        np.testing.assert_array_equal(
+            cols, _window_columns(x, K, padding, dilation, groups))
+
+    @pytest.mark.parametrize("axis,T", [(-1, 2), (-1, 12), (1, 1)])
+    def test_normalize_gradients_match_finite_differences(self, axis, T):
+        rng = np.random.default_rng(T)
+        X = rng.normal(size=(3, 4, T))
+        x = dc.leaf("x", X.shape)
+        graph = dc.Graph(dc.sum_(dc.mul(dc.normalize(x, axis=axis),
+                                        dc.constant(rng.normal(size=X.shape)))))
+        assert_grads_match(graph, {"x": X}, ["x"])
+
+
 def _seq_block(x, w):
     """conv -> normalize -> GeLU, the ops that save values for their VJPs."""
     h = dc.gelu(dc.normalize(dc.conv1d(x, w, padding=1), axis=1))

@@ -1,5 +1,6 @@
 """Predictor architectures: forward values, training, PGD, layer shuffling."""
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,15 @@ class TestCheckpoints:
         bad = replace(build_model("linear", 2, seed=0), seed="x")
         with pytest.raises(DataError, match="/seed: expected integer or null"):
             save_model(bad, path)
+        assert not path.exists()
+
+    def test_save_refuses_a_non_finite_weight(self, tmp_path):
+        path = tmp_path / "model.json"
+        m = build_model("linear", 2, seed=0)
+        m.params["w"][0, 0] = np.nan
+        with pytest.raises(DataError,
+                           match=f"^cannot write {re.escape(str(path))}: "):
+            save_model(m, path)
         assert not path.exists()
 
     def test_checkpoint_without_params_is_a_data_error(self, tmp_path):

@@ -2,11 +2,13 @@
 mutation per keyword that schema uses, each rejected with the path of the
 field it broke."""
 import copy
+import re
 
 import pytest
 
 from mindkit.errors import DataError
-from mindkit.schemas import KEYWORDS, SCHEMAS, _check, validate_artifact
+from mindkit.schemas import (KEYWORDS, SCHEMAS, _check, read_json,
+                             validate_artifact, write_json)
 
 DELETE = object()
 
@@ -217,3 +219,22 @@ def test_validate_artifact_names_schema_and_path():
                 {"schema": "mindkit.nothing/1"}):
         with pytest.raises(DataError, match="schema"):
             validate_artifact(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_write_json_refuses_a_non_finite_float_and_writes_nothing(tmp_path,
+                                                                  bad):
+    doc = mutate(CASES["mindkit.model/1"][0], "/params/w0/data/0", bad)
+    path = tmp_path / "model.json"
+    with pytest.raises(DataError, match=f"^cannot write {re.escape(str(path))}"
+                       ": Out of range"):
+        write_json(path, doc)
+    assert not path.exists()
+
+
+def test_read_json_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}"
+                       ": 'utf-8' codec"):
+        read_json(path)

@@ -7,6 +7,7 @@ feature gates); the rest are empirical tools for judging learned gates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -138,19 +139,19 @@ def weak_invariance_lambda(sensitivity: float, samples: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _batch_input_gradient(model: Model, X: np.ndarray) -> np.ndarray:
-    """d(sum_i f(X_i))/dX: row i is the gradient at sample i."""
-    x = dc.leaf("x", X.shape)
-    f = forward_graph(model, x, param_nodes(model))
-    graph = dc.Graph(dc.sum_(f))
-    return graph.gradient({"x": X}, wrt=["x"])["x"]
+def _input_gradient_graph(model: Model, shape: tuple) -> dc.Graph:
+    """The graph of sum_i f(X_i) over a batch X of `shape`: its gradient
+    with respect to leaf "x" has row i the gradient at sample i."""
+    x = dc.leaf("x", shape)
+    return dc.Graph(dc.sum_(forward_graph(model, x, param_nodes(model))))
 
 
 def saliency_scores(model: Model, X: np.ndarray) -> np.ndarray:
     """Mean absolute input gradient per feature (pooled over time for
     sequence models). For a linear model this is exactly |beta|."""
     X = _as_batch(model, X)[0]
-    G = np.abs(_batch_input_gradient(model, X))
+    graph = _input_gradient_graph(model, X.shape)
+    G = np.abs(graph.gradient({"x": X}, wrt=["x"])["x"])
     if G.ndim == 3:
         return G.mean(axis=(0, 2))
     return G.mean(axis=0)
@@ -166,10 +167,11 @@ def integrated_gradients(model: Model, X: np.ndarray,
     if steps < 1:
         raise AnalysisError("steps must be positive")
     X = _as_batch(model, X)[0]
+    graph = _input_gradient_graph(model, X.shape)
     acc = np.zeros_like(X)
     for k in range(steps):
         alpha = (k + 0.5) / steps
-        acc += _batch_input_gradient(model, alpha * X)
+        acc += graph.gradient({"x": alpha * X}, wrt=["x"])["x"]
     return X * acc / steps
 
 
@@ -239,14 +241,60 @@ def spearman_rho(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
 
 
 def spearman_p(rho: float, n: int) -> float:
-    """`spearman`'s p-value for a rho over n pairs (NaN where rho is)."""
-    if np.isnan(rho):
+    """`spearman`'s p-value for a rho over n pairs (NaN where rho is, or
+    for fewer than 3 pairs).
+
+    The two-sided tail of Student's t with n - 2 degrees of freedom at
+    t = rho sqrt((n - 2) / (1 - rho^2)) is I_x((n - 2) / 2, 1 / 2) with
+    x = (n - 2) / (n - 2 + t^2) = 1 - rho^2.
+    """
+    if np.isnan(rho) or n < 3:
         return float("nan")
-    if n == 3 or abs(rho) == 1.0:
-        return 0.0 if abs(rho) == 1.0 else 1.0
-    from scipy.special import stdtr  # a 0.3 s import most commands skip
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return 2.0 * float(stdtr(n - 2, -abs(t)))
+    r = abs(rho)
+    if r == 1.0:
+        return 0.0
+    return _betai(0.5 * (n - 2), 0.5, (1.0 - r) * (1.0 + r), r * r)
+
+
+BETACF_EPS = 1e-16
+BETACF_TINY = 1e-300
+
+
+def _betai(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta I_x(a, b) for x in (0, 1] and
+    y = 1 - x, taken separately so that x near 1 keeps its precision.
+
+    Numerical Recipes (3rd ed.) §6.4: the continued fraction converges
+    fast for x < (a + 1) / (a + b + 2); above that, I_x(a, b) =
+    1 - I_y(b, a).
+    """
+    if y == 0.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    def clamp(v: float) -> float:
+        return v if abs(v) >= BETACF_TINY else BETACF_TINY
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 100_000):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 / clamp(1.0 + num * d)
+            c = clamp(1.0 + num / c)
+            h *= d * c
+        if abs(d * c - 1.0) < BETACF_EPS:
+            return h
+    raise AnalysisError(f"incomplete beta I_x({a}, {b}) did not converge")
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -330,7 +378,7 @@ class SanityOutcome:
     A refit whose scores are constant has an undefined (NaN) correlation;
     `undefined` counts those, and the mean and spread summarize the defined
     ones only, so they are NaN only when no correlation is defined.
-    `pvalues` are computed from the rhos when read, which imports scipy.
+    `pvalues` are computed from the rhos when read.
     """
 
     layer: str

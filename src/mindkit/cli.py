@@ -30,7 +30,11 @@ from .transforms import TransformSpec, make_basis, save_transform
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError, NotADirectoryError
+        raise DataError(
+            f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -76,7 +80,7 @@ def _config_from_json(cls, path, overrides: dict | None = None):
     if path is not None:
         try:
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError too
             raise DataError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise DataError(f"config {path} must hold a JSON object")

@@ -4,19 +4,23 @@ import json
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
+import mindkit.diffcore as dc
 import mindkit.mindtrain as mt
 from mindkit.analysis import (ClosedFormInputs, SanityOutcome,
                               closed_form_gating, completeness_gap,
                               correlation_profile, integrated_gradients,
                               integrated_gradients_scores, ks_two_sample,
                               restart_baseline, saliency_scores, sanity_check,
-                              second_moment, spearman, weak_invariance_lambda)
+                              second_moment, spearman, spearman_p,
+                              weak_invariance_lambda)
 from mindkit.data import from_arrays
 from mindkit.errors import AnalysisError, GraphError, TrainingError
 from mindkit.mindtrain import MindConfig, MindResult, multi_restart
-from mindkit.models import TrainConfig, build_model, train
+from mindkit.models import (TrainConfig, build_model, forward_graph,
+                            param_nodes, train)
 from mindkit.schemas import validate_artifact
 from mindkit.transforms import TransformSpec, make_basis
 
@@ -241,6 +245,23 @@ class TestIntegratedGradients:
         np.testing.assert_allclose(integrated_gradients_scores(m, X, steps=64),
                                    np.abs(maps).mean(axis=0), rtol=1e-12)
 
+    # the seqconv batch is large enough for the graph to pool its buffers
+    @pytest.mark.parametrize("kind,shape,steps", [
+        ("mlp", (135, 14), 32), ("seqconv", (100, 4, 48), 6)])
+    def test_one_graph_gives_the_maps_of_a_graph_per_step(self, kind, shape,
+                                                          steps):
+        m = build_model(kind, shape[1], seq_len=shape[-1], hidden=(8,),
+                        output="probability", seed=4)
+        X = np.random.default_rng(10).normal(size=shape)
+        acc = np.zeros_like(X)
+        for k in range(steps):
+            x = dc.leaf("x", shape)
+            graph = dc.Graph(dc.sum_(forward_graph(m, x, param_nodes(m))))
+            acc += graph.gradient({"x": (k + 0.5) / steps * X},
+                                  wrt=["x"])["x"]
+        np.testing.assert_array_equal(integrated_gradients(m, X, steps),
+                                      X * acc / steps)
+
     def test_bad_steps_rejected(self):
         m = linear_model([1.0])
         with pytest.raises(AnalysisError, match="positive"):
@@ -280,6 +301,28 @@ class TestSpearman:
             np.testing.assert_allclose(rho, ref.statistic, atol=1e-12)
             np.testing.assert_allclose(p, ref.pvalue, rtol=1e-9)
 
+    @pytest.mark.parametrize("n", [*range(3, 61), 100, 1000, 5000, 20000])
+    def test_pvalue_is_the_student_t_tail(self, n):
+        rho = np.concatenate([np.linspace(-1.0, 1.0, 401)[1:-1],
+                              [1e-12, -1e-6, 0.999999, -0.9999999999]])
+        r = np.abs(rho)
+        # 1 - rho^2 as (1 - |rho|)(1 + |rho|) keeps its digits near |rho| = 1
+        t = r * np.sqrt((n - 2) / ((1.0 - r) * (1.0 + r)))
+        want = 2.0 * scipy.special.stdtr(n - 2, -t)
+        got = [spearman_p(float(v), n) for v in rho]
+        # below the smallest normal double only subnormal digits are left
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=np.finfo(np.float64).tiny)
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 1e-6, 0.3, -0.999])
+    def test_three_pairs_have_the_cauchy_tail(self, rho):
+        # one degree of freedom: p = 1 - (2 / pi) atan|t|
+        t = abs(rho) / np.sqrt((1.0 - rho) * (1.0 + rho))
+        np.testing.assert_allclose(spearman_p(rho, 3),
+                                   1.0 - 2.0 / np.pi * np.arctan(t),
+                                   rtol=1e-13)
+        assert spearman_p(1.0, 3) == spearman_p(-1.0, 3) == 0.0
+
     def test_constant_input_is_undefined(self):
         rho, p = spearman(np.ones(5), np.arange(5.0))
         assert np.isnan(rho) and np.isnan(p)
@@ -287,6 +330,7 @@ class TestSpearman:
     def test_short_input_is_undefined(self):
         rho, _ = spearman(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
         assert np.isnan(rho)
+        assert np.isnan(spearman_p(0.5, 2))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(AnalysisError):

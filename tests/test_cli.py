@@ -200,10 +200,10 @@ def _loaded_after(code, packages):
 
 
 def test_cli_import_skips_scipy():
-    """Only GeLU and the Spearman p-value use scipy, and they import it
-    when first called, so commands that need neither never load it; the
-    process pool is imported only for `--threads` > 1, and artifacts are
-    checked without jsonschema."""
+    """Only the GeLU of sequence models uses scipy, and it imports it when
+    first called, so commands on other models never load it; the process
+    pool is imported only for `--threads` > 1, and artifacts are checked
+    without jsonschema."""
     assert _loaded_after("import mindkit.cli", (
         "scipy", "jsonschema", "concurrent", "multiprocessing")) == "[]"
 
@@ -224,6 +224,49 @@ def test_sanity_check_on_an_mlp_skips_scipy(pipeline, tmp_path):
     rhos = [r for e in read(tmp_path / "sanity" / "sanity.json")["layers"]
             for r in e["rhos"]]
     assert any(r is not None and abs(r) < 1.0 for r in rhos)
+
+
+def test_mlp_pipeline_commands_skip_scipy(tmp_path):
+    """The commands before baselines and sanity-check, in one process."""
+    (tmp_path / "gen.json").write_text(json.dumps(
+        {"n": 120, "d": 4, "planted": [0]}))
+    (tmp_path / "train.json").write_text(json.dumps({"max_epochs": 2}))
+    (tmp_path / "mind.json").write_text(json.dumps(
+        {"similarity": "inner_product", "max_epochs": 2, "restarts": 2,
+         "top_k": 1}))
+    data = ["--data", str(tmp_path / "data" / "data.csv")]
+    model = ["--model", str(tmp_path / "model" / "model.json")]
+    mind = ["--config", str(tmp_path / "mind.json")]
+    argvs = [
+        ["gen-data", "--config", str(tmp_path / "gen.json"),
+         "--out", str(tmp_path / "data")],
+        ["train-model", *data, "--arch", "mlp", "--hidden", "4",
+         "--config", str(tmp_path / "train.json"),
+         "--out", str(tmp_path / "model")],
+        ["tune-lambda", *data, *model, *mind, "--out", str(tmp_path / "tune")],
+        ["train-transform", *data, *model, *mind,
+         "--out", str(tmp_path / "transform")],
+        ["score", "--manifest", str(tmp_path / "transform" / "manifest.json"),
+         "--out", str(tmp_path / "report")],
+    ]
+    code = ("from mindkit.cli import main; "
+            f"assert all(main(a) == 0 for a in {argvs!r})")
+    assert _loaded_after(code, ("scipy",)).splitlines()[-1] == "[]"
+    assert (tmp_path / "report" / "report.json").exists()
+
+
+def test_baselines_on_an_mlp_skips_scipy(pipeline, tmp_path):
+    """The Spearman p-values come from an in-house Student-t tail."""
+    argv = ["baselines", "--data", str(pipeline["data"]),
+            "--model", str(pipeline["model"]),
+            "--report", str(pipeline["manifest"]), "--steps", "16",
+            "--out", str(tmp_path / "base")]
+    code = f"from mindkit.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_after(code, ("scipy",)).splitlines()[-1] == "[]"
+    # a p strictly inside (0, 1) is one that the tail computed
+    table = read(tmp_path / "base" / "baselines.json")["spearman"]
+    assert any(row["p"] is not None and 0.0 < row["p"] < 1.0
+               for row in table)
 
 
 @pytest.mark.parametrize("shuffles", ["0", "-1"])
@@ -706,6 +749,130 @@ def test_fuzzed_malformed_inputs_are_one_json_line(pipeline, tmp_path,
         doc = json.loads(lines[0])
         assert validate_artifact(doc) == "mindkit.error/1"
         assert doc["command"] == command, argv
+
+
+# Seeded fuzz over file faults at the CLI: each draw gives one subcommand
+# one faulty file, and every other input a good one. The first two cases are
+# fixed reproductions of defects this test guards.
+FILE_FUZZ_SEED = 20261019
+FILE_FUZZ_CASES = 40
+
+# the file inputs of each subcommand, --out included
+FILE_SLOTS = {
+    "gen-data": ("--config", "--out"),
+    "train-model": ("--data", "--config", "--out"),
+    "train-transform": ("--data", "--model", "--config", "--out"),
+    "tune-lambda": ("--data", "--model", "--config", "--out"),
+    "score": ("--manifest", "--out"),
+    "oracle": ("--data", "--out"),
+    "sanity-check": ("--data", "--model", "--config", "--report", "--out"),
+    "baselines": ("--data", "--model", "--report", "--out"),
+}
+FILE_FAULTS = {
+    "--data": ("missing", "directory", "empty"),
+    "--config": ("truncated", "non-utf8", "directory", "missing"),
+    "--model": ("truncated", "non-utf8", "directory"),
+    "--manifest": ("truncated", "non-utf8", "directory"),
+    "--report": ("truncated", "non-utf8", "directory"),
+    "--out": ("file",),
+}
+# a good --config per command; "mind" serves the MindConfig commands
+FILE_CONFIGS = {
+    "gen-data": {"n": 40, "d": 3},
+    "train-model": {"max_epochs": 1},
+    "mind": {"lam": 0.05, "similarity": "inner_product", "max_epochs": 1,
+             "restarts": 1, "top_k": 1},
+}
+
+
+def _good_files(root, pipeline):
+    """Each file flag's valid value, plus each command's other flags."""
+    for name in ("data.csv", "data.sidecar.json"):
+        shutil.copy(pipeline["data"].parent / name, root / name)
+    shutil.copy(pipeline["model"], root / "model.json")
+    shutil.copy(pipeline["manifest"], root / "manifest.json")
+    for name, doc in FILE_CONFIGS.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    good = {"--data": root / "data.csv", "--model": root / "model.json",
+            "--manifest": root / "manifest.json",
+            "--report": root / "manifest.json"}
+    extra = {"oracle": ["--beta", "1,1,1,1,1", "--lam", "0.1"],
+             "sanity-check": ["--shuffles", "1"],
+             "baselines": ["--steps", "2"]}
+    return good, extra
+
+
+def _file_fault(rng, root, i, flag, fault, good):
+    """A path at which `fault` happens for `flag`."""
+    if flag == "--out":  # an existing file
+        return good["--data"]
+    if flag == "--data":
+        path = root / f"fault{i}.csv"
+        shutil.copy(good["--data"].with_name("data.sidecar.json"),
+                    root / f"fault{i}.sidecar.json")
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "empty":
+            path.write_text("")
+        return path
+    path = root / f"fault{i}.json"
+    source = good.get(flag, root / "mind.json")
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "non-utf8":
+        path.write_bytes(b"\xff\xfe" + source.read_bytes())
+    elif fault == "truncated":
+        text = source.read_text()
+        path.write_text(text[:int(rng.integers(1, len(text) - 1))])
+    return path
+
+
+def _draw_file_faults(rng, root, pipeline):
+    """Yield (argv, command, faulty path) for one seeded file fault per
+    draw."""
+    good, extra = _good_files(root, pipeline)
+
+    def argv(i, command, flag, path):
+        args = [command, *extra.get(command, [])]
+        for slot in FILE_SLOTS[command]:
+            if slot == flag:
+                args += [slot, str(path)]
+            elif slot == "--out":
+                args += [slot, str(root / f"out{i}")]
+            elif slot == "--config":
+                name = command if command in FILE_CONFIGS else "mind"
+                args += [slot, str(root / f"{name}.json")]
+            else:
+                args += [slot, str(good[slot])]
+        return args, command, path
+
+    bad = _file_fault(rng, root, "r", "--config", "non-utf8", good)
+    yield argv("r0", "train-model", "--config", bad)
+    yield argv("r1", "train-model", "--out", good["--data"])
+    for i in range(FILE_FUZZ_CASES):
+        command = str(rng.choice(sorted(FILE_SLOTS)))
+        flag = str(rng.choice(FILE_SLOTS[command]))
+        fault = str(rng.choice(FILE_FAULTS[flag]))
+        yield argv(i, command, flag,
+                   _file_fault(rng, root, i, flag, fault, good))
+
+
+def test_fuzzed_file_faults_are_one_json_line(pipeline, tmp_path, capsys):
+    rng = np.random.default_rng(FILE_FUZZ_SEED)
+    seen = set()
+    for argv, command, path in _draw_file_faults(rng, tmp_path, pipeline):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, argv
+        assert "Traceback" not in err, argv
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, (argv, err)
+        doc = json.loads(lines[0])
+        assert validate_artifact(doc) == "mindkit.error/1"
+        assert doc["command"] == command, argv
+        assert str(path) in doc["message"], (argv, doc["message"])
+        seen.add(command)
+    assert seen == set(FILE_SLOTS)
 
 
 class TestTuneLambda:

@@ -7,9 +7,9 @@ identity; the per-feature gates that survive are invariance scores.
 from .analysis import (ClosedFormInputs, ClosedFormSolution, SanityOutcome,
                        build_report, closed_form_gating, completeness_gap,
                        correlation_profile, integrated_gradients,
-                       integrated_gradients_scores, ks_two_sample,
-                       restart_baseline, saliency_scores, sanity_check,
-                       second_moment, spearman, weak_invariance_lambda)
+                       integrated_gradients_scores, restart_baseline,
+                       saliency_scores, sanity_check, second_moment, spearman,
+                       weak_invariance_lambda)
 from .data import (Dataset, SyntheticSpec, from_arrays, generate_synthetic,
                    load_dataset, save_dataset, substream)
 from .diffcore import Graph, leaf

@@ -297,30 +297,6 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise AnalysisError(f"incomplete beta I_x({a}, {b}) did not converge")
 
 
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic with the asymptotic p-value.
-
-    The p-value uses the Kolmogorov series with the standard small-sample
-    correction to the effective sample size.
-    """
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        raise AnalysisError("both samples must be nonempty")
-    pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / n
-    fb = np.searchsorted(b, pooled, side="right") / m
-    d = float(np.max(np.abs(fa - fb)))
-    en = np.sqrt(n * m / (n + m))
-    arg = (en + 0.12 + 0.11 / en) * d
-    if arg <= 0:
-        return d, 1.0
-    k = np.arange(1, 101)
-    p = 2.0 * float(np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * arg) ** 2)))
-    return d, float(min(1.0, max(0.0, p)))
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

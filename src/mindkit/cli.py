@@ -244,18 +244,22 @@ def _cmd_score(args) -> None:
     if channel_block:
         for name in channel_block["names"]:
             columns += [f"{name}_mean", f"{name}_std"]
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for j, feat in enumerate(features):
-            row = [feat, manifest["score_mean"][j], manifest["score_std"][j],
-                   manifest["correlation_mean"][j],
-                   manifest["correlation_std"][j]]
-            if channel_block:
-                for k in range(len(channel_block["names"])):
-                    row += [channel_block["score_mean"][j][k],
-                            channel_block["score_std"][j][k]]
-            writer.writerow(["" if v is None else v for v in row])
+    try:
+        with open(out / "report.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for j, feat in enumerate(features):
+                row = [feat, manifest["score_mean"][j],
+                       manifest["score_std"][j],
+                       manifest["correlation_mean"][j],
+                       manifest["correlation_std"][j]]
+                if channel_block:
+                    for k in range(len(channel_block["names"])):
+                        row += [channel_block["score_mean"][j][k],
+                                channel_block["score_std"][j][k]]
+                writer.writerow(["" if v is None else v for v in row])
+    except OSError as exc:
+        raise DataError(f"cannot write {out / 'report.csv'}: {exc}") from exc
     print(f"wrote {out / 'report.json'} and {out / 'report.csv'}")
 
 

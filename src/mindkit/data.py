@@ -101,17 +101,21 @@ def save_dataset(ds: Dataset, data_path, sidecar_path) -> None:
     seq = ds.seq_len
     header = ["instance_id"] + (["timestamp"] if seq else []) \
         + ds.feature_names + ["label"]
-    with open(data_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, iid in enumerate(ds.instance_ids):
-            if seq:
-                for t in range(seq):
-                    row = [iid, t] + [repr(float(v)) for v in ds.X_raw[i, :, t]]
+    try:
+        with open(data_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i, iid in enumerate(ds.instance_ids):
+                if seq:
+                    for t in range(seq):
+                        row = [iid, t] + [repr(float(v))
+                                          for v in ds.X_raw[i, :, t]]
+                        writer.writerow(row + [repr(float(ds.y[i]))])
+                else:
+                    row = [iid] + [repr(float(v)) for v in ds.X_raw[i]]
                     writer.writerow(row + [repr(float(ds.y[i]))])
-            else:
-                row = [iid] + [repr(float(v)) for v in ds.X_raw[i]]
-                writer.writerow(row + [repr(float(ds.y[i]))])
+    except OSError as exc:
+        raise DataError(f"cannot write {data_path}: {exc}") from exc
     sidecar = {
         "schema": "mindkit.dataset/1",
         "task": ds.task,

@@ -71,12 +71,50 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # sweep (None otherwise). An op whose class sets `buffered = True` takes every
 # large array it writes, scratch included, from the `empty` keyword of both
 # methods, which the graph points at its own buffers (np.empty by default).
+# An op may declare reads(needs) -> (inputs, output, saved): whether its vjp,
+# called with `needs`, reads the values of each input, of its output and of
+# what its forward saved. In a graph that takes buffers, a value that no vjp
+# of a sweep reads is dropped once the forward sweep is done with it, and a
+# saved value that no vjp reads is not kept; a vjp gets a read-only
+# zero-stride placeholder of the same shape in place of a dropped value
+# (`.shape`, `.ndim` and `.size` stay readable). An op that declares nothing
+# is taken to read everything.
 # Ops are stateless: nothing is written to an op during a sweep, so graphs
 # may share nodes.
 # ---------------------------------------------------------------------------
 
 
+def _reads_shapes(self, needs):
+    """reads() of a vjp that reads only shapes."""
+    return (False,) * len(needs), False, False
+
+
+def _reads_crossed(self, needs):
+    """reads() of a bilinear op: each input's gradient reads the other."""
+    return (needs[1], needs[0]), False, False
+
+
+def _reads_input(self, needs):
+    """reads() of a unary op whose gradient reads its input."""
+    return (needs[0],), False, False
+
+
+def _vjp_reads(op, needs) -> tuple[tuple, bool, bool]:
+    """op.reads(needs), or that the vjp reads everything."""
+    reads = getattr(op, "reads", None)
+    if reads is None:
+        return (True,) * len(needs), True, True
+    return reads(needs)
+
+
+def _placeholder(shape: tuple) -> np.ndarray:
+    """What a vjp gets in place of a value it does not read."""
+    return np.broadcast_to(np.float64(0.0), shape)
+
+
 class _Add:
+    reads = _reads_shapes
+
     def forward(self, a, b):
         return a + b
 
@@ -88,6 +126,8 @@ class _Add:
 
 
 class _Sub:
+    reads = _reads_shapes
+
     def forward(self, a, b):
         return a - b
 
@@ -99,6 +139,8 @@ class _Sub:
 
 
 class _Mul:
+    reads = _reads_crossed
+
     def forward(self, a, b):
         return a * b
 
@@ -110,6 +152,8 @@ class _Mul:
 
 
 class _Scale:
+    reads = _reads_shapes
+
     def __init__(self, c: float):
         self.c = float(c)
 
@@ -121,6 +165,8 @@ class _Scale:
 
 
 class _MatMul:
+    reads = _reads_crossed
+
     def forward(self, a, b):
         return a @ b
 
@@ -146,6 +192,9 @@ class _Conv1d:
         self.padding = int(padding)
         self.dilation = int(dilation)
         self.groups = int(groups)
+
+    def reads(self, needs):  # dx reads w, dw the columns; x only its shape
+        return (False, needs[0]), False, needs[1]
 
     def forward(self, x, w, empty=np.empty):
         B, cin, T = x.shape
@@ -201,6 +250,7 @@ class _Conv1d:
 
 class _Relu:
     buffered = True
+    reads = _reads_input
 
     def forward(self, x, empty=np.empty):
         return np.maximum(x, 0.0, out=empty(x.shape))
@@ -215,6 +265,9 @@ class _Gelu:
     """Exact Gaussian-CDF form: x * Phi(x); Phi(x) is saved for the VJP."""
 
     saves = buffered = True
+
+    def reads(self, needs):
+        return (needs[0],), False, needs[0]
 
     def forward(self, x, empty=np.empty):
         from scipy.special import erf  # only sequence models use GeLU
@@ -240,6 +293,9 @@ class _Gelu:
 
 
 class _Sigmoid:
+    def reads(self, needs):
+        return (False,), needs[0], False
+
     def forward(self, x):
         t = np.exp(-np.abs(x))
         return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
@@ -282,6 +338,9 @@ class _Normalize:
     def __init__(self, axis=-1):
         self.axis = axis
 
+    def reads(self, needs):
+        return (False,), needs[0], needs[0]
+
     def forward(self, x, empty=np.empty):
         n = x.shape[self.axis]
         mu = _axis_sum(x, self.axis) / n
@@ -314,6 +373,8 @@ def _spread(g: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
 
 
 class _Mean:
+    reads = _reads_shapes
+
     def __init__(self, axis):
         self.axis = axis
 
@@ -332,6 +393,8 @@ class _Mean:
 
 
 class _Sum:
+    reads = _reads_shapes
+
     def __init__(self, axis):
         self.axis = axis
 
@@ -348,6 +411,8 @@ class _Sum:
 
 
 class _Abs:
+    reads = _reads_input
+
     def forward(self, x):
         return np.abs(x)
 
@@ -356,6 +421,8 @@ class _Abs:
 
 
 class _Dot:
+    reads = _reads_crossed
+
     def forward(self, a, b):
         return np.asarray(np.vdot(a, b))
 
@@ -368,6 +435,8 @@ class _Dot:
 
 class _DotRows:
     """Per-row inner product over flattened trailing axes: (B, ...) -> (B,)."""
+
+    reads = _reads_crossed
 
     def forward(self, a, b):
         fa = a.reshape(a.shape[0], -1)
@@ -383,6 +452,9 @@ class _DotRows:
 
 
 class _Norm:
+    def reads(self, needs):
+        return (needs[0],), needs[0], False
+
     def forward(self, x):
         return np.asarray(np.sqrt(np.vdot(x, x)))
 
@@ -459,6 +531,9 @@ class _CosineRows:
 class _BceLogits:
     """Numerically stable elementwise binary cross-entropy on logits."""
 
+    def reads(self, needs):
+        return (needs[0] or needs[1], needs[0]), False, False
+
     def forward(self, z, t):
         return np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
@@ -476,6 +551,8 @@ class _BceLogits:
 
 
 class _Reshape:
+    reads = _reads_shapes
+
     def __init__(self, shape):
         self.shape = tuple(shape)
 
@@ -676,7 +753,7 @@ def _topo(output: Node) -> list[Node]:
 
 
 # Arrays of at least this many float64 values (128 KiB, glibc's default
-# mmap threshold) come from a graph's own buffers; glibc would hand them
+# mmap threshold) come from a graph's buffer pool; glibc would hand them
 # back to the OS when freed and page-fault them in again on the next sweep.
 # Smaller ones come from malloc's heap, which is cheaper than bookkeeping,
 # and so do all the arrays of a graph none of whose nodes is this large.
@@ -689,36 +766,41 @@ def _idle_refs() -> int:
     version, which may borrow the loop's references)."""
     bufs = [np.empty(1)]
     for buf in bufs:
-        return sys.getrefcount(buf)
+        if buf.size >= 1:
+            return sys.getrefcount(buf)
 
 
 _IDLE_REFS = _idle_refs()
 
 
 class _Buffers:
-    """The large arrays of one graph's sweeps, kept from sweep to sweep.
+    """The large arrays of the sweeps of one fit's graphs, kept from sweep
+    to sweep.
 
-    Ops take them through `empty`. A buffer is handed out again once
-    nothing but this pool refers to it: every array made from one (a view,
-    saved columns, a gradient) holds a reference to it, so a live array is
-    never overwritten, and values that are never live at the same time
-    share memory (Chen et al., 2016). The sweeps drop each array after its
-    last use.
+    Ops take them through `empty`, which hands out a prefix view of the
+    smallest idle buffer that fits. A buffer is idle once nothing but this
+    pool refers to it: every array made from one (a view, saved columns, a
+    gradient) holds a reference to it, so a live array is never
+    overwritten, and values that are never live at the same time share
+    memory (Chen et al., 2016). The sweeps drop each array after its last
+    use. Handing out is not atomic, so no two sweeps of graphs that share a
+    pool may run at the same time.
     """
 
     def __init__(self):
-        self.bufs: list[np.ndarray] = []
+        self.bufs: list[np.ndarray] = []  # smallest first
 
     def empty(self, shape) -> np.ndarray:
         n = math.prod(shape)
         if n < POOL_MIN_VALUES:
             return np.empty(shape)
         for buf in self.bufs:
-            if buf.size == n and sys.getrefcount(buf) == _IDLE_REFS:
-                return buf.reshape(shape)
+            if buf.size >= n and sys.getrefcount(buf) == _IDLE_REFS:
+                return buf[:n].reshape(shape)
         buf = np.empty(n)
         self.bufs.append(buf)
-        return buf.reshape(shape)
+        self.bufs.sort(key=len)
+        return buf[:n].reshape(shape)
 
     def escape(self, a):
         """`a`, copied if it lives in one of the buffers."""
@@ -736,21 +818,24 @@ class _Buffers:
 class Graph:
     """A frozen DAG with one scalar-or-tensor output node.
 
-    The graph owns the large arrays of its sweeps (see _Buffers), so one
-    graph must not be swept by two threads at once. Only the output value
-    and the leaf gradients leave a sweep, and they never share memory with
-    the graph's buffers. Sweeps run from plans: the forward plan is built
-    here, a reverse plan on the first sweep for each set of gradient
-    targets. Plans hold node indices and bound methods, never arrays.
+    The large arrays of its sweeps come from a buffer pool (see _Buffers):
+    `buffers`, which the graphs of one fit share, or else a pool of its
+    own. So neither one graph nor two graphs that share a pool may be swept
+    by two threads at once. Only the output value and the leaf gradients
+    leave a sweep, and they never share memory with the buffers. Sweeps run
+    from plans: the evaluate plan is built here, a reverse plan on the
+    first sweep for each set of gradient targets. Plans hold node indices,
+    bound methods and placeholders, never values.
     """
 
-    def __init__(self, output: Node):
+    def __init__(self, output: Node, buffers: _Buffers | None = None):
         self.output = output
         self.nodes = _topo(output)
         self._index = index = {id(n): i for i, n in enumerate(self.nodes)}
         self.leaves = {n.name: n for n in self.nodes if n.name is not None}
-        self._bufs = _Buffers()
-        large = any(math.prod(n.shape) >= POOL_MIN_VALUES for n in self.nodes)
+        self._bufs = _Buffers() if buffers is None else buffers
+        self._large = large = any(math.prod(n.shape) >= POOL_MIN_VALUES
+                                  for n in self.nodes)
         pidx = [tuple(index[id(p)] for p in n.parents) for n in self.nodes]
         # An evaluate sweep of a graph that takes buffers drops each value
         # but the output's after the last step that reads it.
@@ -764,23 +849,24 @@ class Graph:
                            if n.name is not None]
         self._const_plan = [i for i, n in enumerate(self.nodes)
                             if n.name is None and n.op is None]
-        # (index, forward, parent indices, buffered, saves, drops), in
-        # node order
-        self._op_plan = [
+        # (index, forward, parent indices, buffered, saves, keeps what it
+        # saved, (node, what replaces its value) pairs dropped before the
+        # step), in node order
+        self._eval_plan = [
             (i, n.op.forward, pidx[i],
              large and getattr(n.op, "buffered", False),
-             getattr(n.op, "saves", False), tuple(drops[i]))
+             getattr(n.op, "saves", False), False,
+             tuple((j, None) for j in drops[i]))
             for i, n in enumerate(self.nodes) if n.op is not None]
-        self._reverse_plans: dict[frozenset, list[tuple]] = {}
+        self._reverse_plans: dict[frozenset, tuple[list, list]] = {}
 
     # -- forward ------------------------------------------------------------
 
-    def _forward(self, bindings: Mapping[str, np.ndarray], reverse: bool,
+    def _forward(self, bindings: Mapping[str, np.ndarray], plan: list,
                  check: bool) -> tuple[list, list]:
         """Node values plus, parallel to them, what each op saved for its
-        VJP in this sweep (None where an op saves nothing). With `reverse`
-        false (no reverse sweep follows), nothing saved is kept and each
-        value but the output's is dropped after its last reader."""
+        VJP in this sweep (None where an op saves nothing or the plan does
+        not keep it), swept by a forward plan."""
         vals: list = [None] * len(self.nodes)
         saved: list = [None] * len(self.nodes)
         for i, name, shape in self._leaf_plan:
@@ -795,16 +881,15 @@ class Graph:
         for i in self._const_plan:
             vals[i] = self.nodes[i].value
         empty = self._bufs.empty
-        for i, forward, pv, buffered, saves, drops in self._op_plan:
+        for i, forward, pv, buffered, saves, keep, drops in plan:
             xs = [vals[j] for j in pv]
-            if not reverse:
-                for j in drops:
-                    vals[j] = None
+            for j, stub in drops:
+                vals[j] = stub
             vals[i] = forward(*xs, empty=empty) if buffered else forward(*xs)
             xs = None
             if saves:  # forward returned (value, saved)
                 vals[i], saved[i] = vals[i]
-                if not reverse:
+                if not keep:
                     saved[i] = None
         return vals, saved
 
@@ -813,24 +898,31 @@ class Graph:
         """Output value under a binding; pure, so equal bindings give
         bit-identical results. With `check` false the bindings are not
         checked for non-finite values: the caller has checked them."""
-        return self._bufs.escape(self._forward(bindings, False, check)[0][-1])
+        return self._bufs.escape(
+            self._forward(bindings, self._eval_plan, check)[0][-1])
 
     # -- reverse ------------------------------------------------------------
 
-    def _reverse_plan(self, wrt: frozenset) -> list[tuple]:
-        """The VJP steps of a reverse sweep for gradients of `wrt`: one
-        per op node that depends on a leaf in `wrt`, last node first, as
-        (index, vjp, parent indices, needs, (slot, parent) pairs that
-        receive a gradient, buffered, the nodes dropped before the step).
-        Every reader of a dropped node has run its VJP, and a dropped node
-        has none to run."""
+    def _reverse_plan(self, wrt: frozenset) -> tuple[list, list]:
+        """The forward and VJP steps of a sweep for gradients of `wrt`.
+
+        The VJP steps are one per op node that depends on a leaf in `wrt`,
+        last node first, as (index, vjp, parent indices, needs, (slot,
+        parent) pairs that receive a gradient, buffered, the nodes dropped
+        before the step). Every reader of a dropped node has run its VJP,
+        and a dropped node has none to run. The forward steps are the
+        evaluate plan's, except that they keep what the VJPs read. In a
+        graph that takes buffers, they keep only that: an op node's value
+        that no VJP reads gives way to a placeholder after its last forward
+        reader, and a saved array that no VJP reads is not kept.
+        """
         needed = [False] * len(self.nodes)
         for i, name, _ in self._leaf_plan:
             needed[i] = name in wrt
-        for i, _, pv, *_ in self._op_plan:
+        for i, _, pv, *_ in self._eval_plan:
             needed[i] = any(needed[j] for j in pv)
         steps, after = [], len(self.nodes)
-        for i, _, pv, buffered, _, _ in reversed(self._op_plan):
+        for i, _, pv, buffered, *_ in reversed(self._eval_plan):
             if needed[i]:
                 steps.append((
                     i, self.nodes[i].op.vjp, pv,
@@ -838,7 +930,20 @@ class Graph:
                     tuple((k, j) for k, j in enumerate(pv) if needed[j]),
                     buffered, tuple(range(i + 1, after))))
                 after = i
-        return steps
+        read = [False] * len(self.nodes)
+        keep = [not self._large] * len(self.nodes)
+        if self._large:
+            for i, _, pv, needs, *_ in steps:
+                inputs, read_y, keep[i] = _vjp_reads(self.nodes[i].op, needs)
+                read[i] |= read_y
+                for j, r in zip(pv, inputs):
+                    read[j] |= r
+        forward = [
+            (i, f, pv, buffered, saves, keep[i],
+             tuple((j, _placeholder(self.nodes[j].shape)) for j, _ in drops
+                   if self.nodes[j].op is not None and not read[j]))
+            for i, f, pv, buffered, saves, _, drops in self._eval_plan]
+        return forward, steps
 
     def value_and_grad(self, bindings: Mapping[str, np.ndarray],
                        wrt: Iterable[str], seed=None, check: bool = True):
@@ -863,13 +968,14 @@ class Graph:
         plan = self._reverse_plans.get(wrt)
         if plan is None:
             plan = self._reverse_plans[wrt] = self._reverse_plan(wrt)
+        forward, steps = plan
         bufs = self._bufs
         empty = bufs.empty
-        vals, saved = self._forward(bindings, True, check)
+        vals, saved = self._forward(bindings, forward, check)
         value = bufs.escape(vals[-1])
         grads: list = [None] * len(self.nodes)
         grads[-1] = np.asarray(seed, dtype=np.float64)
-        for i, vjp, pv, needs, targets, buffered, drops in plan:
+        for i, vjp, pv, needs, targets, buffered, drops in steps:
             # The gradients of dropped nodes are kept (a leaf's is a
             # result); node i's value, saved arrays and gradient are dead
             # once its own VJP has run.

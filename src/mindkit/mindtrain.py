@@ -132,6 +132,7 @@ class _Problem:
             raise TrainingError(
                 "l1_gate_weights similarity needs a gated transform family")
         self._graphs: dict[int, dc.Graph] = {}
+        self._buffers = dc._Buffers()  # one pool for every batch size
         self._seed = np.ones(self.restarts)
 
     def _build(self, B: int) -> dc.Graph:
@@ -163,7 +164,7 @@ class _Problem:
             per_restart = int(np.prod(gates.shape[1:]))
             sim = dc.sum_(dc.reshape(dc.abs_(gates), (R, per_restart)), axis=1)
         loss = dist if cfg.lam == 0 else dc.add(dist, dc.scale(sim, cfg.lam))
-        return dc.Graph(loss)
+        return dc.Graph(loss, self._buffers)
 
     def graph_for(self, B: int) -> dc.Graph:
         if B not in self._graphs:

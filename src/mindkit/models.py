@@ -192,7 +192,8 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def _loss_graph(model: Model, batch_shape: tuple) -> dc.Graph:
+def _loss_graph(model: Model, batch_shape: tuple,
+                buffers: dc._Buffers | None = None) -> dc.Graph:
     x = dc.leaf("x", batch_shape)
     y = dc.leaf("y", (batch_shape[0],))
     params = {k: dc.leaf(k, v.shape) for k, v in model.params.items()}
@@ -203,7 +204,7 @@ def _loss_graph(model: Model, batch_shape: tuple) -> dc.Graph:
         pred = forward_graph(model, x, params)
         err = dc.sub(pred, y)
         loss = dc.mean(dc.mul(err, err))
-    return dc.Graph(loss)
+    return dc.Graph(loss, buffers)
 
 
 def _pgd_perturb(graph: dc.Graph, binds: dict, Xb: np.ndarray,
@@ -231,8 +232,9 @@ def train(model: Model, dataset: Dataset,
     run = Run("model training", substream(config.seed, "model-train.shuffle"),
               PlateauSchedule(config.patience, config.min_delta,
                               config.lr_floor), config.lr)
+    pool = dc._Buffers()  # one for the graphs of every batch size
     graph_for = functools.cache(
-        lambda b: _loss_graph(fitted, (b,) + Xtr.shape[1:]))
+        lambda b: _loss_graph(fitted, (b,) + Xtr.shape[1:], pool))
 
     eps = config.pgd_eps if config.adversarial else 0.0
     step = config.pgd_step if config.pgd_step is not None else eps / 4.0

@@ -311,7 +311,10 @@ def write_json(path, doc: dict) -> None:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:  # a non-finite float
         raise DataError(f"cannot write {path}: {exc}") from exc
-    Path(path).write_text(text + "\n")
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:  # IsADirectoryError, PermissionError, ...
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path, expect: str | None = None) -> dict:

@@ -12,10 +12,9 @@ import mindkit.mindtrain as mt
 from mindkit.analysis import (ClosedFormInputs, SanityOutcome,
                               closed_form_gating, completeness_gap,
                               correlation_profile, integrated_gradients,
-                              integrated_gradients_scores, ks_two_sample,
-                              restart_baseline, saliency_scores, sanity_check,
-                              second_moment, spearman, spearman_p,
-                              weak_invariance_lambda)
+                              integrated_gradients_scores, restart_baseline,
+                              saliency_scores, sanity_check, second_moment,
+                              spearman, spearman_p, weak_invariance_lambda)
 from mindkit.data import from_arrays
 from mindkit.errors import AnalysisError, GraphError, TrainingError
 from mindkit.mindtrain import MindConfig, MindResult, multi_restart
@@ -335,45 +334,6 @@ class TestSpearman:
     def test_length_mismatch_rejected(self):
         with pytest.raises(AnalysisError):
             spearman(np.ones(3), np.ones(4))
-
-
-class TestKolmogorovSmirnov:
-    def test_identical_samples_give_zero(self):
-        x = np.random.default_rng(0).normal(size=100)
-        d, p = ks_two_sample(x, x)
-        assert d == 0.0 and p == 1.0
-
-    def test_disjoint_supports_give_one(self):
-        d, _ = ks_two_sample(np.zeros(50), np.ones(50) + 5.0)
-        assert d == 1.0
-
-    def test_unit_mean_shift_statistic(self):
-        # asymptotic statistic for N(0,1) vs N(1,1) is 2*Phi(0.5) - 1
-        rng = np.random.default_rng(42)
-        d, p = ks_two_sample(rng.standard_normal(2000),
-                             rng.standard_normal(2000) + 1.0)
-        assert abs(d - 0.38292492254802624) < 0.05
-        assert p < 1e-6
-
-    def test_statistic_matches_reference_implementation(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=rng.integers(5, 60))
-            b = rng.normal(loc=rng.uniform(-1, 1), size=rng.integers(5, 60))
-            d, p = ks_two_sample(a, b)
-            ref = scipy.stats.ks_2samp(a, b)
-            np.testing.assert_allclose(d, ref.statistic, atol=1e-14)
-            assert 0.0 <= p <= 1.0
-
-    def test_same_distribution_large_sample_accepts(self):
-        rng = np.random.default_rng(12)
-        _, p = ks_two_sample(rng.standard_normal(1500),
-                             rng.standard_normal(1500))
-        assert p > 0.1
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(AnalysisError, match="nonempty"):
-            ks_two_sample(np.array([]), np.ones(3))
 
 
 def quick_result(seed=1):

@@ -849,6 +849,13 @@ def _draw_file_faults(rng, root, pipeline):
     bad = _file_fault(rng, root, "r", "--config", "non-utf8", good)
     yield argv("r0", "train-model", "--config", bad)
     yield argv("r1", "train-model", "--out", good["--data"])
+    # a directory where an artifact inside --out should go
+    for i, (command, name) in enumerate((("gen-data", "truth.json"),
+                                         ("gen-data", "data.csv"),
+                                         ("score", "report.csv"))):
+        out = root / f"dir{i}"
+        (out / name).mkdir(parents=True)
+        yield argv(f"d{i}", command, "--out", out)[0], command, out / name
     for i in range(FILE_FUZZ_CASES):
         command = str(rng.choice(sorted(FILE_SLOTS)))
         flag = str(rng.choice(FILE_SLOTS[command]))

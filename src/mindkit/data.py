@@ -246,6 +246,8 @@ class SyntheticSpec:
             raise DataError("strong_lo must not exceed strong_hi")
         if self.label_noise < 0:
             raise DataError("label_noise must be nonnegative")
+        if self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
         if not all(0.0 <= f <= 1.0 for f in self.split_fracs) \
                 or math.fsum(self.split_fracs) > 1.0:
             raise DataError("split_fracs must lie in [0, 1] and sum to at "

@@ -71,14 +71,13 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # sweep (None otherwise). An op whose class sets `buffered = True` takes every
 # large array it writes, scratch included, from the `empty` keyword of both
 # methods, which the graph points at its own buffers (np.empty by default).
-# An op may declare reads(needs) -> (inputs, output, saved): whether its vjp,
+# Every op declares reads(needs) -> (inputs, output, saved): whether its vjp,
 # called with `needs`, reads the values of each input, of its output and of
-# what its forward saved. In a graph that takes buffers, a value that no vjp
-# of a sweep reads is dropped once the forward sweep is done with it, and a
-# saved value that no vjp reads is not kept; a vjp gets a read-only
-# zero-stride placeholder of the same shape in place of a dropped value
-# (`.shape`, `.ndim` and `.size` stay readable). An op that declares nothing
-# is taken to read everything.
+# what its forward saved. Every graph drops a value after its last use: a
+# value that no vjp of a sweep reads is dropped once the forward sweep is
+# done with it, and a saved value that no vjp reads is not kept; a vjp gets
+# a read-only zero-stride placeholder of the same shape in place of a
+# dropped value (`.shape`, `.ndim` and `.size` stay readable).
 # Ops are stateless: nothing is written to an op during a sweep, so graphs
 # may share nodes.
 # ---------------------------------------------------------------------------
@@ -97,14 +96,6 @@ def _reads_crossed(self, needs):
 def _reads_input(self, needs):
     """reads() of a unary op whose gradient reads its input."""
     return (needs[0],), False, False
-
-
-def _vjp_reads(op, needs) -> tuple[tuple, bool, bool]:
-    """op.reads(needs), or that the vjp reads everything."""
-    reads = getattr(op, "reads", None)
-    if reads is None:
-        return (True,) * len(needs), True, True
-    return reads(needs)
 
 
 def _placeholder(shape: tuple) -> np.ndarray:
@@ -292,13 +283,19 @@ class _Gelu:
         return (out,)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), with exp taken only of -|x| so it cannot
+    overflow."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
 class _Sigmoid:
     def reads(self, needs):
         return (False,), needs[0], False
 
     def forward(self, x):
-        t = np.exp(-np.abs(x))
-        return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+        return _sigmoid(x)
 
     def vjp(self, g, y, xs, needs, saved):
         return (g * y * (1.0 - y) if needs[0] else None,)
@@ -472,6 +469,9 @@ class _Cosine:
     so optimization never sees an undefined direction.
     """
 
+    def reads(self, needs):  # both norms read both inputs
+        return (True, True), True, False
+
     def forward(self, a, b):
         na = float(np.sqrt(np.vdot(a, a)))
         nb = float(np.sqrt(np.vdot(b, b)))
@@ -498,6 +498,9 @@ class _CosineRows:
     -> 0. The row norms and the guard are saved for the VJP."""
 
     saves = True
+
+    def reads(self, needs):  # each gradient reads both rows and both norms
+        return (True, True), True, True
 
     def forward(self, a, b):
         fa = a.reshape(a.shape[0], -1)
@@ -542,9 +545,7 @@ class _BceLogits:
         dz = None
         dt = None
         if needs[0]:
-            e = np.exp(-np.abs(z))
-            sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-            dz = g * (sig - t)
+            dz = g * (_sigmoid(z) - t)
         if needs[1]:
             dt = g * (-z)
         return dz, dt
@@ -755,8 +756,9 @@ def _topo(output: Node) -> list[Node]:
 # Arrays of at least this many float64 values (128 KiB, glibc's default
 # mmap threshold) come from a graph's buffer pool; glibc would hand them
 # back to the OS when freed and page-fault them in again on the next sweep.
-# Smaller ones come from malloc's heap, which is cheaper than bookkeeping,
-# and so do all the arrays of a graph none of whose nodes is this large.
+# Smaller ones come from malloc's heap, which is cheaper than bookkeeping.
+# The rule is per array: every graph, whatever its size, drops each value
+# after its last use.
 POOL_MIN_VALUES = 2 ** 14
 
 
@@ -822,43 +824,25 @@ class Graph:
     `buffers`, which the graphs of one fit share, or else a pool of its
     own. So neither one graph nor two graphs that share a pool may be swept
     by two threads at once. Only the output value and the leaf gradients
-    leave a sweep, and they never share memory with the buffers. Sweeps run
-    from plans: the evaluate plan is built here, a reverse plan on the
-    first sweep for each set of gradient targets. Plans hold node indices,
-    bound methods and placeholders, never values.
+    leave a sweep, and they never share memory with the buffers. Every
+    sweep drops each value after its last use, as far as the reads that
+    each op declares allow. Sweeps run from plans, one built on the first
+    sweep for each set of gradient targets (`evaluate`'s set is empty).
+    Plans hold node indices, bound methods and placeholders, never values.
     """
 
     def __init__(self, output: Node, buffers: _Buffers | None = None):
         self.output = output
         self.nodes = _topo(output)
-        self._index = index = {id(n): i for i, n in enumerate(self.nodes)}
+        self._index = {id(n): i for i, n in enumerate(self.nodes)}
         self.leaves = {n.name: n for n in self.nodes if n.name is not None}
         self._bufs = _Buffers() if buffers is None else buffers
-        self._large = large = any(math.prod(n.shape) >= POOL_MIN_VALUES
-                                  for n in self.nodes)
-        pidx = [tuple(index[id(p)] for p in n.parents) for n in self.nodes]
-        # An evaluate sweep of a graph that takes buffers drops each value
-        # but the output's after the last step that reads it.
-        drops: list[list[int]] = [[] for _ in self.nodes]
-        if large:
-            last = {j: i for i, pv in enumerate(pidx) for j in pv}
-            for j, i in last.items():
-                drops[i].append(j)
         self._leaf_plan = [(i, n.name, n.shape)
                            for i, n in enumerate(self.nodes)
                            if n.name is not None]
         self._const_plan = [i for i, n in enumerate(self.nodes)
                             if n.name is None and n.op is None]
-        # (index, forward, parent indices, buffered, saves, keeps what it
-        # saved, (node, what replaces its value) pairs dropped before the
-        # step), in node order
-        self._eval_plan = [
-            (i, n.op.forward, pidx[i],
-             large and getattr(n.op, "buffered", False),
-             getattr(n.op, "saves", False), False,
-             tuple((j, None) for j in drops[i]))
-            for i, n in enumerate(self.nodes) if n.op is not None]
-        self._reverse_plans: dict[frozenset, tuple[list, list]] = {}
+        self._plans: dict[frozenset, tuple[list, list]] = {}
 
     # -- forward ------------------------------------------------------------
 
@@ -899,51 +883,60 @@ class Graph:
         bit-identical results. With `check` false the bindings are not
         checked for non-finite values: the caller has checked them."""
         return self._bufs.escape(
-            self._forward(bindings, self._eval_plan, check)[0][-1])
+            self._forward(bindings, self._plan(frozenset())[0], check)[0][-1])
 
     # -- reverse ------------------------------------------------------------
 
-    def _reverse_plan(self, wrt: frozenset) -> tuple[list, list]:
-        """The forward and VJP steps of a sweep for gradients of `wrt`.
+    def _plan(self, wrt: frozenset) -> tuple[list, list]:
+        """The forward and VJP steps of a sweep for gradients of `wrt`,
+        built on the first sweep for `wrt`.
 
-        The VJP steps are one per op node that depends on a leaf in `wrt`,
-        last node first, as (index, vjp, parent indices, needs, (slot,
-        parent) pairs that receive a gradient, buffered, the nodes dropped
-        before the step). Every reader of a dropped node has run its VJP,
-        and a dropped node has none to run. The forward steps are the
-        evaluate plan's, except that they keep what the VJPs read. In a
-        graph that takes buffers, they keep only that: an op node's value
-        that no VJP reads gives way to a placeholder after its last forward
-        reader, and a saved array that no VJP reads is not kept.
+        The forward steps are one per op node, in node order, as (index,
+        forward, parent indices, buffered, saves, keeps what it saved,
+        (node, placeholder) pairs dropped before the step). The VJP steps
+        are one per op node that depends on a leaf in `wrt`, last node
+        first, as (index, vjp, parent indices, needs, (slot, parent) pairs
+        that receive a gradient, buffered, the nodes dropped before the
+        step). An op node's value that no VJP reads gives way to a
+        placeholder after its last forward reader, and a saved array that
+        no VJP reads is not kept; so with no targets, every value but the
+        output's is dropped after its last reader. Every reader of a node
+        dropped before a VJP step has run its VJP, and a dropped node has
+        none to run.
         """
-        needed = [False] * len(self.nodes)
-        for i, name, _ in self._leaf_plan:
-            needed[i] = name in wrt
-        for i, _, pv, *_ in self._eval_plan:
+        plan = self._plans.get(wrt)
+        if plan is not None:
+            return plan
+        nodes, index = self.nodes, self._index
+        ops = [(i, n.op, tuple(index[id(p)] for p in n.parents))
+               for i, n in enumerate(nodes) if n.op is not None]
+        needed = [n.name in wrt for n in nodes]
+        for i, _, pv in ops:
             needed[i] = any(needed[j] for j in pv)
-        steps, after = [], len(self.nodes)
-        for i, _, pv, buffered, *_ in reversed(self._eval_plan):
+        steps, after = [], len(nodes)
+        read, keep = [False] * len(nodes), [False] * len(nodes)
+        for i, op, pv in reversed(ops):
             if needed[i]:
-                steps.append((
-                    i, self.nodes[i].op.vjp, pv,
-                    tuple(needed[j] for j in pv),
-                    tuple((k, j) for k, j in enumerate(pv) if needed[j]),
-                    buffered, tuple(range(i + 1, after))))
-                after = i
-        read = [False] * len(self.nodes)
-        keep = [not self._large] * len(self.nodes)
-        if self._large:
-            for i, _, pv, needs, *_ in steps:
-                inputs, read_y, keep[i] = _vjp_reads(self.nodes[i].op, needs)
+                needs = tuple(needed[j] for j in pv)
+                inputs, read_y, keep[i] = op.reads(needs)
                 read[i] |= read_y
                 for j, r in zip(pv, inputs):
                     read[j] |= r
-        forward = [
-            (i, f, pv, buffered, saves, keep[i],
-             tuple((j, _placeholder(self.nodes[j].shape)) for j, _ in drops
-                   if self.nodes[j].op is not None and not read[j]))
-            for i, f, pv, buffered, saves, _, drops in self._eval_plan]
-        return forward, steps
+                steps.append((
+                    i, op.vjp, pv, needs,
+                    tuple((k, j) for k, j in enumerate(pv) if needed[j]),
+                    getattr(op, "buffered", False),
+                    tuple(range(i + 1, after))))
+                after = i
+        drops: list[list] = [[] for _ in nodes]
+        for j, i in {j: i for i, _, pv in ops for j in pv}.items():
+            if nodes[j].op is not None and not read[j]:
+                drops[i].append((j, _placeholder(nodes[j].shape)))
+        forward = [(i, op.forward, pv, getattr(op, "buffered", False),
+                    getattr(op, "saves", False), keep[i], tuple(drops[i]))
+                   for i, op, pv in ops]
+        plan = self._plans[wrt] = forward, steps
+        return plan
 
     def value_and_grad(self, bindings: Mapping[str, np.ndarray],
                        wrt: Iterable[str], seed=None, check: bool = True):
@@ -965,10 +958,7 @@ class Graph:
         for name in wrt:
             if name not in bindings and name not in self.leaves:
                 raise GraphError(f"gradient target {name!r} has no binding")
-        plan = self._reverse_plans.get(wrt)
-        if plan is None:
-            plan = self._reverse_plans[wrt] = self._reverse_plan(wrt)
-        forward, steps = plan
+        forward, steps = self._plan(wrt)
         bufs = self._bufs
         empty = bufs.empty
         vals, saved = self._forward(bindings, forward, check)

@@ -79,6 +79,8 @@ class MindConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise TrainingError("batch_size must be positive, or null for "
                                 "the default")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

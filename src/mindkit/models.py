@@ -81,6 +81,8 @@ class TrainConfig:
         if self.pgd_step is not None and self.pgd_step <= 0:
             raise TrainingError("pgd_step must be positive, or null for the "
                                 "default")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be nonnegative, got {self.seed}")
 
 
 def build_model(kind: str, input_dim: int, *, seq_len: int | None = None,

@@ -636,6 +636,39 @@ def test_bad_config_value_is_one_json_line(pipeline, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+SEED_COMMANDS = ("gen-data", "train-model", "train-transform", "tune-lambda",
+                 "sanity-check")
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_negative_seed_is_one_json_line(pipeline, tmp_path, capsys, command,
+                                        where):
+    cfg = tmp_path / "cfg.json"
+    doc = {"n": 40, "d": 3} if command == "gen-data" else {}
+    cfg.write_text(json.dumps({**doc, "seed": -5} if where == "config"
+                              else doc))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command != "gen-data":
+        argv += ["--data", str(pipeline["data"])]
+    if command not in ("gen-data", "train-model"):
+        argv += ["--model", str(pipeline["model"])]
+    if command == "sanity-check":
+        argv += ["--report", str(pipeline["report"])]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert validate_artifact(err) == "mindkit.error/1"
+    assert err["command"] == command
+    assert err["error"] == ("DataError" if command == "gen-data"
+                            else "TrainingError")
+    assert "seed must be nonnegative" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kernel_size", ["0", "-2"])
 def test_kernel_size_below_one_is_a_usage_error(pipeline, tmp_path, capsys,
                                                 kernel_size):

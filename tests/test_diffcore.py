@@ -776,6 +776,12 @@ READ_OPS = {
 }
 
 
+def _op_classes():
+    """Every op class of diffcore: the classes with a vjp."""
+    return [c for c in vars(dc).values()
+            if isinstance(c, type) and hasattr(c, "vjp")]
+
+
 class TestDeclaredReads:
     """A VJP gets a placeholder for each value that its op declares it
     does not read; NaN placeholders show any read the declarations missed.
@@ -783,13 +789,15 @@ class TestDeclaredReads:
     Each op reads op nodes (scales by 1, whose VJPs read nothing), and only
     a product with a constant, whose VJP reads only the constant, reads its
     output. So each value the op's VJP reads is dropped unless the op
-    declares the read. Every array is pooled (`pooled`), so these small
-    graphs sweep as graphs that take buffers do.
+    declares the read. Every array is pooled here (POOL_MIN), and none in
+    TestDeclaredReadsUnpooled: a graph drops the same values either way.
     """
 
+    POOL_MIN = 1
+
     @pytest.fixture(autouse=True)
-    def pooled(self, monkeypatch):
-        monkeypatch.setattr(dc, "POOL_MIN_VALUES", 1)
+    def pool_min(self, monkeypatch):
+        monkeypatch.setattr(dc, "POOL_MIN_VALUES", self.POOL_MIN)
 
     @staticmethod
     def _graph(name):
@@ -820,8 +828,9 @@ class TestDeclaredReads:
     def test_gradients_match_sweeps_that_read_everything(self, name,
                                                          monkeypatch):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dc, "_vjp_reads", lambda op, needs: (
-                (True,) * len(needs), True, True))
+            for op in _op_classes():
+                mp.setattr(op, "reads", lambda self, needs: (
+                    (True,) * len(needs), True, True))
             want = self._sweeps(self._graph(name))
         made = []
         monkeypatch.setattr(dc, "_placeholder", lambda shape: (
@@ -844,9 +853,23 @@ class TestDeclaredReads:
                           (["a0", "a1"], True)):
             graph.value_and_grad({"a0": np.ones((3, 4, 7)),
                                   "a1": np.ones((5, 4, 3))}, wrt=wrt)
-            forward, _ = graph._reverse_plans[frozenset(wrt)]
+            forward, _ = graph._plans[frozenset(wrt)]
             assert next(step[5] for step in forward
                         if step[0] == conv) is kept, wrt
+
+
+class TestDeclaredReadsUnpooled(TestDeclaredReads):
+    POOL_MIN = float("inf")
+
+
+def test_every_op_declares_its_reads():
+    ops = _op_classes()
+    assert {dc._Conv1d, dc._Cosine, dc._CosineRows} <= set(ops)
+    for op in ops:
+        assert callable(getattr(op, "reads", None)), op.__name__
+    covered = {type(n.op) for name in READ_OPS
+               for n in TestDeclaredReads._graph(name).nodes}
+    assert set(ops) <= covered
 
 
 def test_residual_training_pool_holds_no_more_than_per_node_liveness():

@@ -28,7 +28,8 @@ def correlation_profile(X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
     """Per-feature Pearson correlation between original and transformed
     values, pooled over samples (and time, for sequences).
 
-    A feature with zero variance on either side gets NaN: correlation is
+    A feature constant on either side (tested exactly: the centred sum of
+    squares of equal values need not round to 0) gets NaN: correlation is
     undefined there and the caller should treat the score as flagged.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -44,7 +45,7 @@ def correlation_profile(X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
     vb = (b * b).sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = (a * b).sum(axis=0) / np.sqrt(va * vb)
-    rho[(va <= 0) | (vb <= 0)] = np.nan
+    rho[(np.ptp(X, axis=0) == 0) | (np.ptp(Xp, axis=0) == 0)] = np.nan
     return rho
 
 

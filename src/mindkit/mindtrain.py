@@ -29,7 +29,7 @@ from .data import Dataset, substream
 from .errors import GraphError, TrainingError, require_finite
 from .models import (Model, OUTPUT_KINDS, _as_batch, forward_graph,
                      param_nodes, predict)
-from .optim import Adam, PlateauSchedule, Run, fit_stack
+from .optim import Adam, PlateauSchedule, Run, fit_stack, flat_params
 
 SIMILARITIES = ("cosine", "inner_product", "l1_gate_weights")
 DISTANCES = ("w1", "squared")
@@ -265,18 +265,21 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     parameters of its restart's epoch with the lowest validation
     objective, its gates clamped to [0, 1] after every step along the way.
     """
+    if model.output not in OUTPUT_KINDS:  # w1_mean needs W1: fail early
+        raise GraphError(f"unsupported output distribution {model.output!r}")
     Xtr, _ = dataset.split("train")
     Xva, _ = dataset.split("validation")
     R = len(restarts)
     transforms, runs = zip(*(_init_restart(tspec, dataset, config, r)
                              for r in restarts))
     template = transforms[0]
-    params = {k: np.stack([t.params[k] for t in transforms])
-              for k in template.params}
+    flat, params = flat_params({k: np.stack([t.params[k] for t in transforms])
+                                for k in template.params})
     problem = _Problem(model, template, config, params)
 
     train_rows = {"x": Xtr, "fc": predict(model, Xtr), **template.extra(Xtr)}
-    val_rows = {"x": Xva, "fc": predict(model, Xva), **template.extra(Xva)}
+    fc_va = predict(model, Xva)
+    val_rows = {"x": Xva, "fc": fc_va, **template.extra(Xva)}
     # the fit's sweeps skip the finiteness check, so every array is checked
     # once here, but for the x rows, which predict checked
     for arrays in (params, train_rows, val_rows):
@@ -285,15 +288,21 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
                 dc.tensor(v)
     # every restart is validated on the whole validation split
     val_rows = {k: np.concatenate([v] * R) for k, v in val_rows.items()}
-    opt = Adam(params, weight_decay=config.weight_decay,
-               decay_keys=template.decay_keys())
+    decay = config.weight_decay * flat_params(  # a rate per column
+        {k: np.full(v[:1].shape, k in template.decay_keys())
+         for k, v in params.items()})[0][0]
+    opt = Adam(flat, decay if decay.any() else None)
+    grad, grad_views = flat_params(params)  # laid out as the parameters
     gate_key = template.gate_key
     gate_min, gate_max = np.full(R, np.inf), np.full(R, -np.inf)
 
     def loss_and_grad(idx):
         rows = idx.ravel()
-        return problem.value_and_grad({k: v[rows]
-                                       for k, v in train_rows.items()})
+        losses, grads = problem.value_and_grad(
+            {k: v[rows] for k, v in train_rows.items()})
+        for k, g in grads.items():
+            np.copyto(grad_views[k], g)
+        return losses, grad
 
     def after_step():
         # a finished restart's gates were clamped when it was last stepped,
@@ -304,7 +313,7 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         np.minimum(gate_min, per_restart.min(axis=1), out=gate_min)
         np.maximum(gate_max, per_restart.max(axis=1), out=gate_max)
 
-    fit_stack(params, loss_and_grad, lambda: problem.loss(val_rows),
+    fit_stack(flat, loss_and_grad, lambda: problem.loss(val_rows),
               len(Xtr), _batch_size(config, len(Xtr)), config.max_epochs,
               list(runs), opt, after_step if gate_key is not None else None)
     # the graphs and their buffers are done with; free them before the
@@ -326,7 +335,7 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
             train_curve=history["train_loss"],
             val_curve=history["val_loss"], lr_curve=history["lr"],
             val_loss=min(history["val_loss"]),
-            w1_mean=float(np.mean(w1_reduced(model, Xva, Xp_va))),
+            w1_mean=float(np.mean(np.abs(fc_va - predict(model, Xp_va)))),
             cosine_mean=float(np.mean(dc.row_cosines(Xva, Xp_va))),
             gate_min=float(gate_min[i]) if gate_key else float("nan"),
             gate_max=float(gate_max[i]) if gate_key else float("nan"),

@@ -21,7 +21,7 @@ from . import diffcore as dc
 from . import schemas
 from .data import Dataset, substream
 from .errors import DataError, GraphError, TrainingError, require_finite
-from .optim import Adam, PlateauSchedule, Run, fit_stack
+from .optim import Adam, PlateauSchedule, Run, fit_stack, flat_params
 
 ARCHITECTURES = ("linear", "mlp", "seqconv")
 OUTPUT_KINDS = ("probability", "regression", "gaussian")
@@ -41,9 +41,6 @@ class Model:
     dilations: tuple = ()
     kernel_size: int = 3
     seed: int | None = None
-
-    def copy(self) -> "Model":
-        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
     def layer_names(self) -> list[str]:
         """Weight tensors eligible for layer shuffling, input to output."""
@@ -229,8 +226,11 @@ def train(model: Model, dataset: Dataset,
     whose validation loss was best. Returns (fitted model, history)."""
     Xtr, ytr = dataset.split("train")
     Xva, yva = dataset.split("validation")
-    fitted = model.copy()
+    # the fitted parameters are views of the fit's (1, P) array
+    flat, stacked = flat_params({k: v[None] for k, v in model.params.items()})
+    fitted = replace(model, params={k: v[0] for k, v in stacked.items()})
     params = fitted.params
+    grad, grad_views = flat_params(stacked)  # laid out as the parameters
     run = Run("model training", substream(config.seed, "model-train.shuffle"),
               PlateauSchedule(config.patience, config.min_delta,
                               config.lr_floor), config.lr)
@@ -240,7 +240,6 @@ def train(model: Model, dataset: Dataset,
 
     eps = config.pgd_eps if config.adversarial else 0.0
     step = config.pgd_step if config.pgd_step is not None else eps / 4.0
-    names = list(params)
     for arr in (Xtr, ytr, Xva, yva, *params.values()):
         dc.tensor(arr)  # checked once: the sweeps, PGD's too, skip it
 
@@ -252,17 +251,17 @@ def train(model: Model, dataset: Dataset,
         if eps > 0:
             Xb = _pgd_perturb(g, dict(binds), Xb, eps, step, config.pgd_iters)
         binds["x"] = Xb
-        loss, grads = g.value_and_grad(binds, wrt=names, check=False)
-        return [loss], grads
+        loss, grads = g.value_and_grad(binds, wrt=params, check=False)
+        for k, v in grads.items():
+            np.copyto(grad_views[k][0], v)
+        return [loss], grad
 
     def val_loss():
         return [graph_for(len(Xva)).evaluate({**params, "x": Xva, "y": yva},
                                              check=False)]
 
-    # a stack of one run; its rate broadcasts over the unstacked parameters
-    fit_stack({k: v[None] for k, v in params.items()}, loss_and_grad,
-              val_loss, len(Xtr), config.batch_size, config.max_epochs, [run],
-              Adam(params))
+    fit_stack(flat, loss_and_grad, val_loss, len(Xtr), config.batch_size,
+              config.max_epochs, [run], Adam(flat))
     if run.error is not None:
         raise TrainingError(run.error)
     return fitted, run.history
@@ -279,11 +278,10 @@ def shuffle_layer(model: Model, layer_index: int,
     if not 0 <= layer_index < len(layers):
         raise GraphError(f"layer index {layer_index} out of range "
                          f"(model has {len(layers)} layers)")
-    name = layers[layer_index]
-    shuffled = model.copy()
-    w = shuffled.params[name]
-    shuffled.params[name] = rng.permutation(w.ravel()).reshape(w.shape)
-    return shuffled
+    params = {k: v.copy() for k, v in model.params.items()}
+    w = params[layers[layer_index]]
+    params[layers[layer_index]] = rng.permutation(w.ravel()).reshape(w.shape)
+    return replace(model, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,49 +2,54 @@
 epoch loop that model and transform fits share."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-class Adam:
-    """Per-parameter first/second-moment updates over a dict of arrays.
+def flat_params(stacked: dict[str, np.ndarray]):
+    """A fit's stacked parameters (each with a leading axis of R runs)
+    copied side by side into one (R, P) float64 array; returns it and views
+    of it under the same names and shapes."""
+    R = len(next(iter(stacked.values())))
+    flat = np.concatenate([v.reshape(R, -1) for v in stacked.values()],
+                          axis=1, dtype=np.float64)
+    ends = np.cumsum([v[0].size for v in stacked.values()])
+    return flat, {k: flat[:, end - v[0].size:end].reshape(v.shape)
+                  for (k, v), end in zip(stacked.items(), ends)}
 
-    `decay_keys` restricts L2 weight decay to the named parameters; every
-    other parameter is updated without decay.
+
+class Adam:
+    """First/second-moment updates of one (R, P) parameter array, in place.
+
+    `decay` holds one L2 weight-decay rate per column; a column at rate 0
+    is updated exactly as without decay, signed zeros included.
     """
 
-    def __init__(self, params: dict[str, np.ndarray],
-                 weight_decay: float = 0.0, decay_keys: tuple = (),
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, decay=None, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.weight_decay = float(weight_decay)
-        self.decay_keys = frozenset(decay_keys)
+        self.decay = decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
 
-    def step(self, grads: dict[str, np.ndarray], lr) -> None:
-        """One update at rate `lr`: one rate, or an array of rates along
-        every parameter's leading axis (one per stacked run)."""
+    def step(self, grads: np.ndarray, lr) -> None:
+        """One update by the (R, P) gradient at rate `lr`: one rate, or one
+        per row (stacked run)."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
-        lr = np.asarray(lr)
-        for key, p in self.params.items():
-            g = grads[key]
-            if self.weight_decay and key in self.decay_keys:
-                g = g + self.weight_decay * p
-            m = self.m[key]
-            v = self.v[key]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            rate = lr.reshape(lr.shape + (1,) * (p.ndim - lr.ndim))
-            p -= rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        p, m, v = self.params, self.m, self.v
+        if self.decay is not None:
+            grads = np.where(self.decay != 0, grads + self.decay * p, grads)
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * grads * grads
+        rate = np.asarray(lr)[..., None]
+        p -= rate * (m / (1.0 - b1 ** self.t)) / (
+            np.sqrt(v / (1.0 - b2 ** self.t)) + self.eps)
 
 
 class PlateauSchedule:
@@ -98,78 +103,65 @@ class Run:
     stop_reason: str | None = None
     error: str | None = None
     best_loss: float = np.inf
-    best: dict = field(default_factory=dict)
-
-    @property
-    def active(self) -> bool:
-        return self.stop_reason is None and self.error is None
+    best: np.ndarray | None = None  # its parameter row at best_loss
 
 
-def fit_stack(params: dict[str, np.ndarray], loss_and_grad, val_loss,
-              n: int, batch_size: int, max_epochs: int, runs: list[Run],
-              opt: Adam, after_step=None) -> None:
+def fit_stack(params: np.ndarray, loss_and_grad, val_loss, n: int,
+              batch_size: int, max_epochs: int, runs: list[Run], opt: Adam,
+              after_step=None) -> None:
     """Minibatch epochs of R = len(runs) fits stacked into one problem.
 
-    Every array in `params` has a leading axis of length R, slot i holding
-    run i's parameters. Each epoch every run visits the `n` training rows
-    in a fresh permutation from its own stream, `batch_size` at a time:
+    `params` is the (R, P) array that `opt` steps, row i holding run i's
+    parameters. Each epoch every run visits the `n` training rows in a
+    fresh permutation from its own stream, `batch_size` at a time:
     `loss_and_grad(idx)` takes the (R, b) row indices and gives the R batch
-    losses and the gradients of their sum, `opt` steps with per-run rates,
-    and `after_step()` runs if given. `val_loss()` gives the R validation
-    losses after every epoch; they feed each run's schedule.
+    losses and the (R, P) gradient of their sum, `opt` steps with per-run
+    rates, and `after_step()` runs if given. `val_loss()` gives the R
+    validation losses after every epoch; they feed each run's schedule.
 
     A run whose training or validation loss is not finite gets `error`;
-    one whose rate falls below its schedule's floor stops. Either way, as
-    for a run that comes in with `error` already set, its gradients are
-    dropped and its rate is 0 from then on, while the other runs go on;
-    the loop ends when no run is left. A run that did not fail ends with
-    its parameters, in place, at the epoch of its lowest validation loss,
-    and its `history` holds the per-epoch "train_loss", "val_loss" and
-    "lr".
+    one whose rate falls below its schedule's floor stops. From then on,
+    as for a run that comes in finished, its gradient row is zeroed (in
+    place) and its rate is 0, while the other runs go on; the loop ends
+    when no run is left. A run that did not fail ends with its row of
+    `params` at its lowest validation loss, and its `history` holds the
+    per-epoch "train_loss", "val_loss" and "lr".
     """
-    R = len(runs)
+    # plain-Python bookkeeping: for a few runs, cheaper than numpy calls
+    live = [run.stop_reason is None and run.error is None for run in runs]
 
     def finish(i: int, reason: str) -> None:
         runs[i].stop_reason = reason
-        for k, v in runs[i].best.items():
-            np.copyto(params[k][i], v)
+        live[i] = False
+        np.copyto(params[i], runs[i].best)
 
-    def refresh() -> tuple[list[bool], np.ndarray]:
-        # one rate per run, 0 keeping a finished run put
-        live = [run.active for run in runs]
-        return live, np.array([run.lr if on else 0.0
-                               for run, on in zip(runs, live)])
-
-    live, rates = refresh()
     for epoch in range(max_epochs):
         if not any(live):
             return
+        # one rate per run, 0 keeping a finished run put
+        rates = np.array([run.lr * on for run, on in zip(runs, live)])
         order = np.stack([run.rng.permutation(n) for run in runs])
-        totals = [0.0] * R
+        totals = [0.0] * len(runs)
         for start in range(0, n, batch_size):
             idx = order[:, start:start + batch_size]
             losses, grads = loss_and_grad(idx)
-            failed = False
             for i, run in enumerate(runs):
-                if live[i] and not np.isfinite(losses[i]):
+                if live[i] and not math.isfinite(losses[i]):
                     run.error = (
                         f"non-finite training loss in {run.what} at epoch "
                         f"{epoch} (lr={run.lr:g}); inspect data scaling or "
                         "lower lr")
-                    failed = True
-            if failed:
-                live, rates = refresh()
-                if not any(live):
-                    return
+                    live[i] = False
+                    rates[i] = 0.0
+            if not any(live):
+                return
             if not all(live):
-                keep = np.array(live)
-                grads = {k: np.where(keep.reshape((R,) + (1,) * (g.ndim - 1)),
-                                     g, 0.0) for k, g in grads.items()}
+                grads[np.logical_not(live)] = 0.0
             opt.step(grads, rates)
             if after_step is not None:
                 after_step()
-            for i in range(R):
-                if live[i]:
+            for i, on in enumerate(live):
+                if on:
                     totals[i] += float(losses[i]) * idx.shape[1]
         vals = val_loss()
         for i, run in enumerate(runs):
@@ -179,17 +171,16 @@ def fit_stack(params: dict[str, np.ndarray], loss_and_grad, val_loss,
             if not np.isfinite(val):
                 run.error = (f"non-finite validation loss in {run.what} at "
                              f"epoch {epoch}")
+                live[i] = False
                 continue
             run.history["train_loss"].append(totals[i] / n)
             run.history["val_loss"].append(val)
             run.history["lr"].append(run.lr)
             if val < run.best_loss:
                 run.best_loss = val
-                run.best = {k: v[i].copy() for k, v in params.items()}
+                run.best = params[i].copy()
             if not run.sched.update(val, run):
                 finish(i, "lr_floor")
-        live, rates = refresh()
-    for i, run in enumerate(runs):
-        if run.active:
+    for i, on in enumerate(live):
+        if on:
             finish(i, "max_epochs")
-

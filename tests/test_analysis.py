@@ -151,6 +151,17 @@ class TestCorrelationProfile:
         np.testing.assert_allclose(rho[:2], [1.0, 1.0], rtol=1e-12)
         assert np.isnan(rho[2])  # zero variance: correlation undefined
 
+    def test_constant_columns_read_nan(self):
+        # the centred sums of squares of these columns do not round to 0:
+        # each read about 1e-17 when variance was tested instead
+        X = np.random.default_rng(6).normal(size=(135, 4))
+        Xp = X.copy()
+        Xp[:, :3] = [0.1, 0.3, 0.7]
+        rho = correlation_profile(X, Xp)
+        assert np.isnan(rho[:3]).all()
+        assert rho[3] == pytest.approx(1.0, rel=1e-12)
+        assert np.isnan(correlation_profile(Xp, X)[:3]).all()
+
     def test_sign_flip_gives_minus_one(self):
         X = np.random.default_rng(3).normal(size=(40, 2))
         np.testing.assert_allclose(correlation_profile(X, -X), [-1.0, -1.0],

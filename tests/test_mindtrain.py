@@ -223,6 +223,57 @@ class TestTrainTransform:
         np.testing.assert_array_equal(t1.b, t2.b)
         assert d1.val_curve == d2.val_curve
 
+    def test_unsupported_output_fails_before_fitting(self, monkeypatch):
+        def fit_stack(*args):
+            raise AssertionError("fit_stack reached")
+
+        monkeypatch.setattr(mt, "fit_stack", fit_stack)
+        m = Model("linear", "poisson", 3, None, {"w": np.ones((3, 1))})
+        with pytest.raises(GraphError, match="unsupported output"):
+            train_transform(m, TransformSpec("gating"), classifier_dataset(),
+                            MindConfig(max_epochs=2))
+
+    @pytest.mark.parametrize("spec,restarts", [
+        (TransformSpec("gating"), 2), (TransformSpec("residual"), 1)])
+    def test_problem_params_are_views_of_the_fit_buffer(self, monkeypatch,
+                                                        spec, restarts):
+        # a reshape that copied would leave a parameter behind, unfitted
+        seen = {}
+        real_init, real_fit = mt._Problem.__init__, mt.fit_stack
+
+        def init(self, model, transform, config, params):
+            seen["params"] = params  # the last one built is the fit's
+            real_init(self, model, transform, config, params)
+
+        def fit_stack(params, *args):
+            seen["flat"] = params
+            return real_fit(params, *args)
+
+        monkeypatch.setattr(mt._Problem, "__init__", init)
+        monkeypatch.setattr(mt, "fit_stack", fit_stack)
+        rng = np.random.default_rng(1)
+        if spec.kind == "residual":
+            X = rng.standard_normal((60, 2, 6))
+            m = build_model("seqconv", 2, seq_len=6, hidden=(3,), seed=1)
+        else:
+            X = rng.standard_normal((60, 3))
+            m = build_model("mlp", 3, output="probability", seed=1)
+        ds = from_arrays(X, (X.reshape(60, -1)[:, 0] > 0).astype(float),
+                         {"train": np.arange(45),
+                          "validation": np.arange(45, 60)})
+        res = multi_restart(m, spec, ds, MindConfig(
+            restarts=restarts, top_k=1, max_epochs=2, seed=2))
+        flat, params = seen["flat"], seen["params"]
+        assert flat.shape[0] == restarts
+        for v in params.values():
+            assert v.shape[0] == restarts
+            assert np.shares_memory(v, flat)
+        assert flat.shape[1] == sum(v[0].size for v in params.values())
+        # each restart's transform is its row of the buffer, copied back
+        t, i = res.transforms[0], res.selected[0]
+        np.testing.assert_array_equal(flat[i], np.concatenate(
+            [t.params[k].ravel() for k in params]))
+
     def test_lambda_zero_learns_identity_like_transform(self):
         ds = classifier_dataset(seed=0)
         m = build_model("mlp", 3, output="probability", seed=0)

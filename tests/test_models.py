@@ -198,6 +198,28 @@ class TestTraining:
             TrainConfig(pgd_eps=-0.5)
 
 
+    def test_fitted_params_are_views_of_the_fit_buffer(self, monkeypatch):
+        # a reshape that copied would leave a parameter behind, unfitted
+        buffers = []
+        real = optim.fit_stack
+
+        def fit_stack(params, *args):
+            buffers.append(params)
+            return real(params, *args)
+
+        monkeypatch.setattr("mindkit.models.fit_stack", fit_stack)
+        m = build_model("mlp", 2, output="probability", seed=5)
+        fitted, _ = train(m, blob_dataset(n=80, seed=2),
+                          TrainConfig(max_epochs=3, seed=7))
+        [flat] = buffers
+        assert list(fitted.params) == list(m.params)
+        for k, v in fitted.params.items():
+            assert v.shape == m.params[k].shape
+            assert np.shares_memory(v, flat)
+        np.testing.assert_array_equal(flat[0], np.concatenate(
+            [v.ravel() for v in fitted.params.values()]))
+
+
 class TestAdversarial:
     def test_zero_radius_is_bit_identical_to_regular(self):
         ds = blob_dataset(n=80, seed=2)
@@ -222,7 +244,7 @@ class TestAdversarial:
 
             def after_step():
                 if next(steps) == 0:  # after the fit's first step
-                    params["w0"][0, 0, 0] = np.nan
+                    params[0, 0] = np.nan  # w0[0, 0], the first column
 
             return real(params, *args, after_step)
 

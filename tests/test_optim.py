@@ -3,58 +3,97 @@ import numpy as np
 import pytest
 
 import mindkit.diffcore as dc
-from mindkit.optim import Adam, PlateauSchedule, Run, fit_stack
+from mindkit.optim import Adam, PlateauSchedule, Run, fit_stack, flat_params
+
+
+class TestFlatParams:
+    def test_views_share_the_buffer(self):
+        stacked = {"w": np.arange(12.0).reshape(2, 3, 2),
+                   "b": np.array([[-1.0], [-2.0]])}
+        flat, views = flat_params(stacked)
+        assert flat.dtype == np.float64
+        # each run's row holds its parameters side by side, in dict order
+        np.testing.assert_array_equal(flat, [[0, 1, 2, 3, 4, 5, -1],
+                                             [6, 7, 8, 9, 10, 11, -2]])
+        for k, v in stacked.items():
+            np.testing.assert_array_equal(views[k], v)
+            assert views[k].shape == v.shape
+            assert np.shares_memory(views[k], flat)
+        flat[1] = 0.0  # a write to the buffer shows in every view
+        assert not views["w"][1].any() and views["b"][1, 0] == 0.0
+        np.testing.assert_array_equal(views["w"][0], stacked["w"][0])
 
 
 class TestAdam:
     def test_first_step_moves_by_lr_in_sign_direction(self):
         # with zero moment state the very first update is ~lr * sign(grad)
-        p = {"w": np.array([1.0, -2.0, 0.5])}
+        p = np.array([[1.0, -2.0, 0.5]])
         opt = Adam(p)
-        opt.step({"w": np.array([3.0, -0.2, 0.0])}, 0.1)
+        opt.step(np.array([[3.0, -0.2, 0.0]]), 0.1)
         np.testing.assert_allclose(
-            p["w"], [1.0 - 0.1, -2.0 + 0.1, 0.5], atol=1e-6)
+            p, [[1.0 - 0.1, -2.0 + 0.1, 0.5]], atol=1e-6)
 
     def test_minimizes_quadratic(self):
-        target = np.array([2.0, -1.0, 0.5, 3.0])
-        p = {"w": np.zeros(4)}
+        target = np.array([[2.0, -1.0, 0.5, 3.0]])
+        p = np.zeros((1, 4))
         opt = Adam(p)
         for _ in range(2000):
-            opt.step({"w": 2.0 * (p["w"] - target)}, 0.05)
-        np.testing.assert_allclose(p["w"], target, atol=1e-4)
+            opt.step(2.0 * (p - target), 0.05)
+        np.testing.assert_allclose(p, target, atol=1e-4)
 
     def test_updates_in_place(self):
-        arr = np.ones(3)
-        opt = Adam({"w": arr})
-        opt.step({"w": np.ones(3)}, 0.1)
-        assert arr is opt.params["w"]
+        arr = np.ones((1, 3))
+        opt = Adam(arr)
+        opt.step(np.ones((1, 3)), 0.1)
+        assert arr is opt.params
         assert not np.allclose(arr, 1.0)
 
     def test_weight_decay_only_touches_decay_keys(self):
-        p = {"w": np.full(2, 4.0), "g": np.full(2, 4.0)}
-        opt = Adam(p, weight_decay=0.5, decay_keys=("w",))
+        p = np.full((1, 4), 4.0)
+        opt = Adam(p, decay=np.array([0.5, 0.5, 0.0, 0.0]))
         for _ in range(1000):
-            opt.step({"w": np.zeros(2), "g": np.zeros(2)}, 0.01)
-        # decayed parameter is pulled toward zero, the other never moves
-        assert np.all(np.abs(p["w"]) < 1.0)
-        np.testing.assert_array_equal(p["g"], np.full(2, 4.0))
+            opt.step(np.zeros((1, 4)), 0.01)
+        # decayed columns are pulled toward zero, the others never move
+        assert np.all(np.abs(p[0, :2]) < 1.0)
+        np.testing.assert_array_equal(p[0, 2:], [4.0, 4.0])
 
     def test_decay_shrinks_stationary_point(self):
         # minimizing (w - 4)^2 + (wd/2)|w|^2 lands strictly inside w=4
-        p = {"w": np.array([0.0])}
-        opt = Adam(p, weight_decay=1.0, decay_keys=("w",))
+        p = np.array([[0.0]])
+        opt = Adam(p, decay=np.array([1.0]))
         for _ in range(3000):
-            opt.step({"w": 2.0 * (p["w"] - 4.0)}, 0.02)
-        np.testing.assert_allclose(p["w"], [8.0 / 3.0], atol=1e-3)
+            opt.step(2.0 * (p - 4.0), 0.02)
+        np.testing.assert_allclose(p, [[8.0 / 3.0]], atol=1e-3)
+
+    def test_rate_zero_columns_keep_their_bits(self):
+        # a rate-0 column steps exactly as with no decay at all: signed
+        # zeros, subnormals and a NaN parameter included
+        tiny = np.finfo(np.float64).smallest_subnormal
+        g = np.array([[0.3, -0.0, 0.0, tiny, -tiny, 1e-310, -0.0],
+                      [-0.2, -0.0, -tiny, 0.0, tiny, -0.0, 0.5]])
+        p = np.array([[1.0, -0.0, 1.5, -2.0, 0.0, -0.0, np.nan],
+                      [-1.0, 0.0, -0.0, 3.0, -0.0, 2.0, 1.0]])
+        ref = p[:, 1:].copy()
+        decayed = Adam(p, decay=np.array([0.1, 0, 0, 0, 0, 0, 0]))
+        plain = Adam(ref)
+        for opt in (decayed, plain):  # moments of -0.0 keep their sign
+            opt.m[...] = -0.0
+        decayed.step(g, np.array([0.1, 0.2]))
+        plain.step(g[:, 1:].copy(), np.array([0.1, 0.2]))
+        for a, b in ((p[:, 1:], ref), (decayed.m[:, 1:], plain.m),
+                     (decayed.v[:, 1:], plain.v)):
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+        # the decayed column's gradient did take the decay term
+        assert decayed.m[0, 0] == (1.0 - 0.9) * (0.3 + 0.1 * 1.0)
 
     def test_deterministic(self):
         def run():
-            p = {"w": np.array([1.0, 2.0])}
+            p = np.array([[1.0, 2.0]])
             opt = Adam(p)
             rng = np.random.default_rng(0)
             for _ in range(50):
-                opt.step({"w": rng.normal(size=2)}, 0.07)
-            return p["w"]
+                opt.step(rng.normal(size=(1, 2)), 0.07)
+            return p
 
         np.testing.assert_array_equal(run(), run())
 
@@ -113,7 +152,7 @@ class TestFit:
              floor=1e-9, patience=10, batch_loss=1.0):
         """Fit w under a unit gradient; val_loss replays `val_losses` and
         records w and the rows each epoch visited."""
-        params = {"w": np.zeros((1, 2))}
+        params = np.zeros((1, 2))
         run = Run("toy fit", np.random.default_rng(0),
                   PlateauSchedule(patience=patience, floor=floor), lr)
         seen, snapshots, replay = [], [], iter(val_losses)
@@ -121,16 +160,16 @@ class TestFit:
         def loss_and_grad(idx):
             assert idx.shape[0] == 1
             seen.extend(idx[0].tolist())
-            return [batch_loss], {"w": np.ones((1, 2))}
+            return [batch_loss], np.ones((1, 2))
 
         def val_loss():
-            snapshots.append((sorted(seen), params["w"][0].copy()))
+            snapshots.append((sorted(seen), params[0].copy()))
             seen.clear()
             return [next(replay)]
 
         fit_stack(params, loss_and_grad, val_loss, n, batch_size, max_epochs,
                   [run], Adam(params))
-        return params["w"][0], run, snapshots
+        return params[0], run, snapshots
 
     def test_restores_best_epoch_not_last(self):
         w, run, snaps = self._run([3.0, 1.0, 2.0, 4.0], max_epochs=4)
@@ -164,22 +203,22 @@ class TestFit:
         X = dc.constant(np.random.default_rng(1).normal(size=(6, 2)))
         w = dc.leaf("w", (2, 1))
         graph = dc.Graph(dc.mean(dc.mul(dc.matmul(X, w), dc.matmul(X, w))))
-        params = {"w": np.ones((2, 1))}
-        stacked = {"w": params["w"][None]}
+        flat, stacked = flat_params({"w": np.ones((1, 2, 1))})
+        params = {"w": stacked["w"][0]}
         run = Run("toy fit", np.random.default_rng(0), PlateauSchedule(), 0.1)
         steps = iter(range(10 ** 9))
 
         def loss_and_grad(idx):
             loss, grads = graph.value_and_grad(params, ["w"], check=False)
-            return [loss], grads
+            return [loss], grads["w"].reshape(1, -1)
 
         def after_step():
             if next(steps) == 2:  # epoch 1's first step: 2 steps an epoch
                 params["w"][0, 0] = np.nan
 
-        fit_stack(stacked, loss_and_grad,
+        fit_stack(flat, loss_and_grad,
                   lambda: [graph.evaluate(params, check=False)], 6, 3, 5,
-                  [run], Adam(stacked), after_step)
+                  [run], Adam(flat), after_step)
         assert run.error.startswith("non-finite training loss in toy fit at "
                                     "epoch 1")
 
@@ -193,17 +232,17 @@ class TestFitStack:
     def test_failed_run_freezes_while_the_others_go_on(self):
         # run 0 diverges at its 4th step: NaN loss and gradients from then
         # on; run 1 trains for every epoch
-        params = {"w": np.zeros((2, 3))}
+        params = np.zeros((2, 3))
         runs = self._runs([1e-9, 1e-9])
         steps = []
 
         def loss_and_grad(idx):
             assert idx.shape[0] == 2
-            steps.append(params["w"].copy())
+            steps.append(params.copy())
             bad = len(steps) >= 4
             grads = np.ones((2, 3))
             grads[0] = np.nan if bad else 1.0
-            return np.array([np.nan if bad else 1.0, 1.0]), {"w": grads}
+            return np.array([np.nan if bad else 1.0, 1.0]), grads
 
         fit_stack(params, loss_and_grad, lambda: np.array([1.0, 1.0]), 5, 2,
                   4, runs, Adam(params))
@@ -211,7 +250,7 @@ class TestFitStack:
                                  "1 (lr=0.1); inspect data scaling or lower "
                                  "lr")
         assert len(runs[0].history["val_loss"]) == 1
-        np.testing.assert_array_equal(params["w"][0], steps[3][0])
+        np.testing.assert_array_equal(params[0], steps[3][0])
         assert runs[1].error is None and runs[1].stop_reason == "max_epochs"
         assert len(runs[1].history["val_loss"]) == 4
         assert len(steps) == 12  # 3 batches of 5 rows in each of 4 epochs
@@ -219,20 +258,20 @@ class TestFitStack:
     def test_stopped_run_keeps_its_best_epoch(self):
         # run 0 hits its lr floor after epoch 2 and is restored to epoch 0;
         # run 1 keeps improving and keeps stepping
-        params = {"w": np.zeros((2, 2))}
+        params = np.zeros((2, 2))
         runs = self._runs([0.04, 1e-9])
         snaps, vals = [], iter([[1.0, 3.0], [1.0, 2.0], [1.0, 1.0],
                                 [1.0, 0.5]])
 
         def val_loss():
-            snaps.append(params["w"].copy())
+            snaps.append(params.copy())
             return np.array(next(vals))
 
-        fit_stack(params, lambda idx: (np.ones(2), {"w": np.ones((2, 2))}),
+        fit_stack(params, lambda idx: (np.ones(2), np.ones((2, 2))),
                   val_loss, 4, 2, 4, runs, Adam(params))
         assert runs[0].stop_reason == "lr_floor"
         assert runs[0].history["lr"] == [0.1, 0.1, 0.05]
-        np.testing.assert_array_equal(params["w"][0], snaps[0][0])
+        np.testing.assert_array_equal(params[0], snaps[0][0])
         assert runs[1].stop_reason == "max_epochs"
-        np.testing.assert_array_equal(params["w"][1], snaps[3][1])
-        assert not np.array_equal(params["w"][1], snaps[2][1])
+        np.testing.assert_array_equal(params[1], snaps[3][1])
+        assert not np.array_equal(params[1], snaps[2][1])

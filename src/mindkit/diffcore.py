@@ -7,6 +7,7 @@ Evaluation is pure: identical bindings give bit-identical results.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Iterable, Mapping
@@ -821,22 +822,23 @@ class Graph:
     """A frozen DAG with one scalar-or-tensor output node.
 
     The large arrays of its sweeps come from a buffer pool (see _Buffers):
-    `buffers`, which the graphs of one fit share, or else a pool of its
-    own. So neither one graph nor two graphs that share a pool may be swept
-    by two threads at once. Only the output value and the leaf gradients
-    leave a sweep, and they never share memory with the buffers. Every
-    sweep drops each value after its last use, as far as the reads that
-    each op declares allow. Sweeps run from plans, one built on the first
-    sweep for each set of gradient targets (`evaluate`'s set is empty).
-    Plans hold node indices, bound methods and placeholders, never values.
+    its own, or the one it shares with the other graphs of a `graphs`
+    cache. So neither one graph nor two graphs that share a pool may be
+    swept by two threads at once. Only the output value and the leaf
+    gradients leave a sweep, and they never share memory with the buffers.
+    Every sweep drops each value after its last use, as far as the reads
+    that each op declares allow. Sweeps run from plans, one built on the
+    first sweep for each set of gradient targets (`evaluate`'s set is
+    empty). Plans hold node indices, bound methods and placeholders, never
+    values.
     """
 
-    def __init__(self, output: Node, buffers: _Buffers | None = None):
+    def __init__(self, output: Node):
         self.output = output
         self.nodes = _topo(output)
         self._index = {id(n): i for i, n in enumerate(self.nodes)}
         self.leaves = {n.name: n for n in self.nodes if n.name is not None}
-        self._bufs = _Buffers() if buffers is None else buffers
+        self._bufs = _Buffers()
         self._leaf_plan = [(i, n.name, n.shape)
                            for i, n in enumerate(self.nodes)
                            if n.name is not None]
@@ -995,3 +997,17 @@ class Graph:
     def gradient(self, bindings: Mapping[str, np.ndarray],
                  wrt: Iterable[str]) -> dict[str, np.ndarray]:
         return self.value_and_grad(bindings, wrt)[1]
+
+
+def graphs(build):
+    """A cached key -> Graph(build(key)) function, such as a fit's loss
+    graph per batch size, whose graphs share one buffer pool (and share it
+    with no other graph). Dropping the function frees the graphs and pool."""
+    pool = _Buffers()
+
+    @functools.cache
+    def graph(key) -> Graph:
+        g = Graph(build(key))
+        g._bufs = pool
+        return g
+    return graph

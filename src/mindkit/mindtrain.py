@@ -93,6 +93,7 @@ class MindDiagnostics:
     val_loss: float
     w1_mean: float           # validation mean |f - f'|, always the W1 form
     cosine_mean: float       # validation mean per-instance cosine
+    rho: np.ndarray          # validation correlation profile, per feature
     gate_min: float
     gate_max: float
     stop_reason: str
@@ -109,84 +110,48 @@ def w1_reduced(model: Model, X: np.ndarray, Xp: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-class _Problem:
-    """The loss graph of R restarts of one transform family fitted as one
-    stacked problem, cached per batch size; R is 1 unless the family
-    stacks.
+def _loss(model: Model, t, cfg: MindConfig, params: dict[str, np.ndarray],
+          B: int) -> dc.Node:
+    """The loss node of R restarts of transform family t fitted as one
+    stacked problem on batches of B rows; R is 1 unless the family stacks.
 
     `params` holds the R restarts' parameters, each with a leading restart
-    axis. The input stacks the R batches of B rows; the frozen model runs
-    once over all R * B rows; the output is the vector of the R restarts'
-    own losses, each a mean over its own rows, so that the gradient of
-    their sum keeps the restarts apart.
+    axis, and names the parameter leaves. The input stacks the R batches;
+    the frozen model runs once over all R * B rows; the output is the
+    vector of the R restarts' own losses, each a mean over its own rows,
+    so that the gradient of their sum keeps the restarts apart.
     """
-
-    def __init__(self, model: Model, transform, config: MindConfig,
-                 params: dict[str, np.ndarray]):
-        self.model = model
-        self.transform = transform
-        self.config = config
-        self.params = params
-        self.restarts = len(next(iter(params.values())))
-        if self.restarts > 1 and not transform.stacks:
-            raise TrainingError(f"{transform.kind} restarts do not stack")
-        if config.similarity == "l1_gate_weights" and transform.gate_key is None:
-            raise TrainingError(
-                "l1_gate_weights similarity needs a gated transform family")
-        self._graphs: dict[int, dc.Graph] = {}
-        self._buffers = dc._Buffers()  # one pool for every batch size
-        self._seed = np.ones(self.restarts)
-
-    def _build(self, B: int) -> dc.Graph:
-        cfg = self.config
-        t = self.transform
-        R = self.restarts
-        d, T = self.model.input_dim, self.model.seq_len
-        x = dc.leaf("x", (R * B, d) if T is None else (R * B, d, T))
-        nodes = {k: dc.leaf(k, v.shape) for k, v in self.params.items()}
-        if t.stacks:
-            xp = t.graph(x, nodes, R)
-        else:   # the one restart's parameters, without the restart axis
-            xp = t.graph(x, {k: dc.reshape(v, v.shape[1:])
-                             for k, v in nodes.items()})
-        f = forward_graph(self.model, xp, param_nodes(self.model))
-        fc = dc.leaf("fc", (R * B,))
-        diff = dc.sub(f, fc)
-        dist_vec = dc.abs_(diff) if cfg.distance == "w1" else dc.mul(diff, diff)
-        dist = _restart_means(dist_vec, R)
-        if cfg.similarity == "cosine":
-            sims = dc.cosine_rows(xp, x)
-            if cfg.clip_similarity_at_zero:
-                sims = dc.relu(sims)
-            sim = _restart_means(sims, R)
-        elif cfg.similarity == "inner_product":
-            sim = _restart_means(dc.dot_rows(xp, x), R)
-        else:
-            gates = nodes[t.gate_key]
-            per_restart = int(np.prod(gates.shape[1:]))
-            sim = dc.sum_(dc.reshape(dc.abs_(gates), (R, per_restart)), axis=1)
-        loss = dist if cfg.lam == 0 else dc.add(dist, dc.scale(sim, cfg.lam))
-        return dc.Graph(loss, self._buffers)
-
-    def graph_for(self, B: int) -> dc.Graph:
-        if B not in self._graphs:
-            self._graphs[B] = self._build(B)
-        return self._graphs[B]
-
-    def bindings(self, rows: dict[str, np.ndarray]) -> dict:
-        """The graph's bindings: the parameters and `rows`, which maps "x",
-        "fc" and the family's extra arrays to the R stacked batches."""
-        return {**self.params, **rows}
-
-    def value_and_grad(self, rows: dict[str, np.ndarray]):
-        """The R restarts' losses on `rows` and the gradients of their sum."""
-        g = self.graph_for(len(rows["x"]) // self.restarts)
-        return g.value_and_grad(self.bindings(rows), wrt=list(self.params),
-                                seed=self._seed, check=False)
-
-    def loss(self, rows: dict[str, np.ndarray]) -> np.ndarray:
-        g = self.graph_for(len(rows["x"]) // self.restarts)
-        return g.evaluate(self.bindings(rows), check=False)
+    R = len(next(iter(params.values())))
+    if R > 1 and not t.stacks:
+        raise TrainingError(f"{t.kind} restarts do not stack")
+    if cfg.similarity == "l1_gate_weights" and t.gate_key is None:
+        raise TrainingError(
+            "l1_gate_weights similarity needs a gated transform family")
+    d, T = model.input_dim, model.seq_len
+    x = dc.leaf("x", (R * B, d) if T is None else (R * B, d, T))
+    nodes = {k: dc.leaf(k, v.shape) for k, v in params.items()}
+    if t.stacks:
+        xp = t.graph(x, nodes, R)
+    else:   # the one restart's parameters, without the restart axis
+        xp = t.graph(x, {k: dc.reshape(v, v.shape[1:])
+                         for k, v in nodes.items()})
+    f = forward_graph(model, xp, param_nodes(model))
+    fc = dc.leaf("fc", (R * B,))
+    diff = dc.sub(f, fc)
+    dist_vec = dc.abs_(diff) if cfg.distance == "w1" else dc.mul(diff, diff)
+    dist = _restart_means(dist_vec, R)
+    if cfg.similarity == "cosine":
+        sims = dc.cosine_rows(xp, x)
+        if cfg.clip_similarity_at_zero:
+            sims = dc.relu(sims)
+        sim = _restart_means(sims, R)
+    elif cfg.similarity == "inner_product":
+        sim = _restart_means(dc.dot_rows(xp, x), R)
+    else:
+        gates = nodes[t.gate_key]
+        per_restart = int(np.prod(gates.shape[1:]))
+        sim = dc.sum_(dc.reshape(dc.abs_(gates), (R, per_restart)), axis=1)
+    return dist if cfg.lam == 0 else dc.add(dist, dc.scale(sim, cfg.lam))
 
 
 def _restart_means(per_row: dc.Node, R: int) -> dc.Node:
@@ -203,10 +168,10 @@ def mind_loss(model: Model, transform, X: np.ndarray,
               config: MindConfig) -> float:
     """Objective value on one batch, for the transform's current parameters."""
     X = _as_batch(model, X)[0]
-    problem = _Problem(model, transform, config, _unstacked(transform))
-    binds = problem.bindings({"x": X, "fc": predict(model, X),
-                              **transform.extra(X)})
-    return float(problem.graph_for(len(X)).evaluate(binds)[0])
+    params = _unstacked(transform)
+    loss = dc.Graph(_loss(model, transform, config, params, len(X)))
+    return float(loss.evaluate({**params, "x": X, "fc": predict(model, X),
+                                **transform.extra(X)})[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +240,8 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     template = transforms[0]
     flat, params = flat_params({k: np.stack([t.params[k] for t in transforms])
                                 for k in template.params})
-    problem = _Problem(model, template, config, params)
+    graph_for = dc.graphs(functools.partial(_loss, model, template, config,
+                                            params))
 
     train_rows = {"x": Xtr, "fc": predict(model, Xtr), **template.extra(Xtr)}
     fc_va = predict(model, Xva)
@@ -287,19 +253,22 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
             if k != "x":
                 dc.tensor(v)
     # every restart is validated on the whole validation split
-    val_rows = {k: np.concatenate([v] * R) for k, v in val_rows.items()}
+    val_binds = {**params, **{k: np.concatenate([v] * R)
+                              for k, v in val_rows.items()}}
     decay = config.weight_decay * flat_params(  # a rate per column
         {k: np.full(v[:1].shape, k in template.decay_keys())
          for k, v in params.items()})[0][0]
     opt = Adam(flat, decay if decay.any() else None)
     grad, grad_views = flat_params(params)  # laid out as the parameters
+    seed = np.ones(R)  # the gradients of the sum of the R losses
     gate_key = template.gate_key
     gate_min, gate_max = np.full(R, np.inf), np.full(R, -np.inf)
 
     def loss_and_grad(idx):
         rows = idx.ravel()
-        losses, grads = problem.value_and_grad(
-            {k: v[rows] for k, v in train_rows.items()})
+        losses, grads = graph_for(idx.shape[1]).value_and_grad(
+            {**params, **{k: v[rows] for k, v in train_rows.items()}},
+            wrt=params, seed=seed, check=False)
         for k, g in grads.items():
             np.copyto(grad_views[k], g)
         return losses, grad
@@ -313,12 +282,13 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         np.minimum(gate_min, per_restart.min(axis=1), out=gate_min)
         np.maximum(gate_max, per_restart.max(axis=1), out=gate_max)
 
-    fit_stack(flat, loss_and_grad, lambda: problem.loss(val_rows),
+    fit_stack(flat, loss_and_grad,
+              lambda: graph_for(len(Xva)).evaluate(val_binds, check=False),
               len(Xtr), _batch_size(config, len(Xtr)), config.max_epochs,
               list(runs), opt, after_step if gate_key is not None else None)
     # the graphs and their buffers are done with; free them before the
     # diagnostics build graphs of their own
-    problem = None
+    graph_for = None
 
     seq = dataset.seq_len is not None
     outcomes = []
@@ -337,6 +307,7 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
             val_loss=min(history["val_loss"]),
             w1_mean=float(np.mean(np.abs(fc_va - predict(model, Xp_va)))),
             cosine_mean=float(np.mean(dc.row_cosines(Xva, Xp_va))),
+            rho=analysis.correlation_profile(Xva, Xp_va),
             gate_min=float(gate_min[i]) if gate_key else float("nan"),
             gate_max=float(gate_max[i]) if gate_key else float("nan"),
             stop_reason=run.stop_reason)
@@ -465,8 +436,8 @@ def _values_per_restart(model: Model, tspec: tf.TransformSpec,
     t = tf.init_transform(tspec, dataset.d, dataset.seq_len,
                           np.random.default_rng(0))
     n_train = len(dataset.split("train")[0])
-    problem = _Problem(model, t, config, _unstacked(t))
-    graph = problem.graph_for(_batch_size(config, n_train))
+    graph = dc.Graph(_loss(model, t, config, _unstacked(t),
+                           _batch_size(config, n_train)))
     return sum(math.prod(node.shape) for node in graph.nodes)
 
 
@@ -520,10 +491,7 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     runs.sort(key=lambda item: item[2].val_loss)
     top = runs[:config.top_k]
 
-    Xva, _ = dataset.split("validation")
-    seq = dataset.seq_len is not None
-    rho = np.stack([analysis.correlation_profile(
-        Xva, tf.apply_transform(t, Xva, seq=seq)) for _, t, _ in top])
+    rho = np.stack([d.rho for _, _, d in top])
     first = top[0][1]
     scores = rho if first.gate_key is None else \
         np.stack([t.params[t.gate_key] for _, t, _ in top])

@@ -12,7 +12,6 @@ downstream code interprets the output distribution.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -191,19 +190,17 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def _loss_graph(model: Model, batch_shape: tuple,
-                buffers: dc._Buffers | None = None) -> dc.Graph:
+def _loss(model: Model, batch_shape: tuple) -> dc.Node:
+    """The mean training loss of a batch of `batch_shape` under the
+    parameter leaves: cross-entropy on logits, or squared error."""
     x = dc.leaf("x", batch_shape)
     y = dc.leaf("y", (batch_shape[0],))
     params = {k: dc.leaf(k, v.shape) for k, v in model.params.items()}
     if model.output == "probability":
         logits = forward_graph(model, x, params, logits=True)
-        loss = dc.mean(dc.bce_with_logits(logits, y))
-    else:
-        pred = forward_graph(model, x, params)
-        err = dc.sub(pred, y)
-        loss = dc.mean(dc.mul(err, err))
-    return dc.Graph(loss, buffers)
+        return dc.mean(dc.bce_with_logits(logits, y))
+    err = dc.sub(forward_graph(model, x, params), y)
+    return dc.mean(dc.mul(err, err))
 
 
 def _pgd_perturb(graph: dc.Graph, binds: dict, Xb: np.ndarray,
@@ -234,9 +231,7 @@ def train(model: Model, dataset: Dataset,
     run = Run("model training", substream(config.seed, "model-train.shuffle"),
               PlateauSchedule(config.patience, config.min_delta,
                               config.lr_floor), config.lr)
-    pool = dc._Buffers()  # one for the graphs of every batch size
-    graph_for = functools.cache(
-        lambda b: _loss_graph(fitted, (b,) + Xtr.shape[1:], pool))
+    graph_for = dc.graphs(lambda b: _loss(fitted, (b,) + Xtr.shape[1:]))
 
     eps = config.pgd_eps if config.adversarial else 0.0
     step = config.pgd_step if config.pgd_step is not None else eps / 4.0

@@ -1,5 +1,6 @@
 """Dataset container, CSV round-trip, synthetic generator with ground truth."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,27 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="inconsistent timestamp counts"):
             load_dataset(path, side)
 
+    def test_repeated_timestamp_rejected(self, tmp_path):
+        # every instance repeats t=0, so counts and sets agree throughout
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "instance_id,timestamp,a,label\n"
+            "i0,0,1.0,1\ni0,0,2.0,1\ni0,1,3.0,1\n"
+            "i1,0,4.0,0\ni1,0,5.0,0\ni1,1,6.0,0\n")
+        side = tmp_path / "bad.sidecar.json"
+        side.write_text(sidecar_text({"train": ["i0", "i1"]}))
+        with pytest.raises(DataError, match=re.escape(
+                "bad.csv:3: instance 'i0' repeats timestamp 0")):
+            load_dataset(path, side)
+
+    def test_repeated_instance_row_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("instance_id,a,label\ni0,1.0,1\ni0,2.0,1\n")
+        side = tmp_path / "bad.sidecar.json"
+        side.write_text(sidecar_text({"train": ["i0"]}))
+        with pytest.raises(DataError, match="duplicate instance rows"):
+            load_dataset(path, side)
+
     def test_unknown_split_id_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("instance_id,a,label\ni0,1.0,1\n")
@@ -165,6 +187,16 @@ class TestCsvRoundTrip:
         side.write_text(
             sidecar_text({"train": ["i0", "i1"], "validation": ["i0"]}))
         with pytest.raises(DataError, match="more than one split"):
+            load_dataset(path, side)
+
+    def test_id_repeated_within_a_split_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("instance_id,a,label\ni0,1.0,1\ni1,2.0,0\n")
+        side = tmp_path / "d.sidecar.json"
+        side.write_text(
+            sidecar_text({"train": ["i0", "i1", "i0"]}))
+        with pytest.raises(DataError, match=re.escape(
+                "ids listed more than once in split 'train': ['i0']")):
             load_dataset(path, side)
 
     def test_ragged_row_rejected(self, tmp_path):

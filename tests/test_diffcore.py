@@ -1,4 +1,6 @@
 """Reverse-mode engine: exact values, finite-difference oracles, guards."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -386,6 +388,35 @@ def _seq_block(x, w):
     return dc.normalize(h)
 
 
+def _residual_fit(d, T, hidden):
+    """The parameters of a one-restart residual transform fit in front of a
+    frozen seqconv model, and a function that gives a fresh cache of the
+    fit's loss graphs (`dc.graphs` of `mindtrain._loss`), its training step
+    and its validation pass, each on a dict of rows."""
+    from mindkit.mindtrain import MindConfig, _loss
+    from mindkit.models import build_model
+    from mindkit.transforms import TransformSpec, init_transform
+
+    model = build_model("seqconv", d, seq_len=T, hidden=hidden, seed=2)
+    t = init_transform(TransformSpec("residual", intercept=False), d, T,
+                       np.random.default_rng(3))
+    cfg = MindConfig(lam=0.1, similarity="cosine")
+    params = {k: v[None] for k, v in t.params.items()}
+
+    def fit():
+        graph_for = dc.graphs(lambda B: _loss(model, t, cfg, params, B))
+
+        def step(rows):
+            return graph_for(len(rows["x"])).value_and_grad(
+                {**params, **rows}, wrt=params, seed=np.ones(1), check=False)
+
+        def loss(rows):
+            return graph_for(len(rows["x"])).evaluate({**params, **rows},
+                                                      check=False)
+        return graph_for, step, loss
+    return params, fit
+
+
 class TestSavedValues:
     """Forward sweeps hand saved values to their own reverse sweep only."""
 
@@ -512,35 +543,23 @@ class TestSavedValues:
                     np.testing.assert_array_equal(grads[name], want[name])
 
     def test_problem_train_and_validation_graphs_interleaved(self, pooled):
-        from mindkit.mindtrain import MindConfig, _Problem
-        from mindkit.models import build_model
-        from mindkit.transforms import TransformSpec, init_transform
-
-        model = build_model("seqconv", 3, seq_len=8, hidden=(4,), seed=2)
-        t = init_transform(TransformSpec("residual", intercept=False), 3, 8,
-                           np.random.default_rng(3))
-        for v in t.params.values():  # leave the identity start
+        params, fit = _residual_fit(3, 8, (4,))
+        for v in params.values():  # leave the identity start
             v += np.random.default_rng(4).normal(scale=0.1, size=v.shape)
-        cfg = MindConfig(lam=0.1, similarity="cosine")
-        params = {k: v[None] for k, v in t.params.items()}
-
-        def problem():
-            return _Problem(model, t, cfg, params)
 
         rng = np.random.default_rng(6)
         X = rng.normal(size=(11, 3, 8))
         fc = rng.uniform(size=11)
         train, val = slice(0, 5), slice(5, 11)
-        shared = problem()
+        _, shared_step, shared_loss = fit()
         got, wanted = [], []
         for step in range(3):
             X[train] += 0.1
             tr = {"x": X[train], "fc": fc[train]}
             va = {"x": X[val], "fc": fc[val]}
-            got.append((*shared.value_and_grad(tr), shared.loss(va)))
-            wanted.append((*self._unpooled(
-                lambda: problem().value_and_grad(tr)),
-                self._unpooled(lambda: problem().loss(va))))
+            got.append((*shared_step(tr), shared_loss(va)))
+            wanted.append((*self._unpooled(lambda: fit()[1](tr)),
+                           self._unpooled(lambda: fit()[2](va))))
         # every step's results are checked after the later steps' sweeps
         for (loss, grads, val_loss), (want_loss, want, want_val) in zip(
                 got, wanted):
@@ -663,34 +682,55 @@ class TestBufferPool:
         assert not np.shares_memory(value, val)
 
     def test_problem_pool_does_not_grow_over_sweeps(self):
-        from mindkit.mindtrain import MindConfig, _Problem
-        from mindkit.models import build_model
-        from mindkit.transforms import TransformSpec, init_transform
-
-        model = build_model("seqconv", 3, seq_len=8, hidden=(4,), seed=2)
-        t = init_transform(TransformSpec("residual", intercept=False), 3, 8,
-                           np.random.default_rng(3))
-        problem = _Problem(model, t, MindConfig(lam=0.1, similarity="cosine"),
-                           {k: v[None] for k, v in t.params.items()})
+        graph_for, step, loss = _residual_fit(3, 8, (4,))[1]()
         rng = np.random.default_rng(6)
         X, fc = rng.normal(size=(11, 3, 8)), rng.uniform(size=11)
 
         def sweep():  # one training step and one validation pass
-            return (*problem.value_and_grad({"x": X[:5], "fc": fc[:5]}),
-                    problem.loss({"x": X[5:], "fc": fc[5:]}))
+            return (*step({"x": X[:5], "fc": fc[:5]}),
+                    loss({"x": X[5:], "fc": fc[5:]}))
 
         def pools():
             return {B: (len(g._bufs.bufs),
                         sum(b.nbytes for b in g._bufs.bufs))
-                    for B, g in problem._graphs.items()}
+                    for B in (5, 6) for g in [graph_for(B)]}
 
         results = [sweep()]
+        assert graph_for.cache_info().currsize == 2  # the graphs of 5 and 6
         before = pools()
         assert sorted(before) == [5, 6] and all(n for n, _ in before.values())
         for _ in range(20):
             X[:5] += 0.01
             results.append(sweep())  # results held by the caller
         assert pools() == before
+
+    def test_graphs_build_each_key_once_on_one_pool_per_cache(self):
+        built = []
+
+        def build(n):
+            built.append(n)
+            return dc.gelu(dc.leaf("x", (n,)))
+
+        graph_for, other = dc.graphs(build), dc.graphs(build)
+        big, small = graph_for(4), graph_for(3)
+        assert graph_for(4) is big and built == [4, 3]
+        assert small._bufs is big._bufs
+        mine = other(3)
+        assert mine is not small and built == [4, 3, 3]
+        assert mine._bufs is not small._bufs
+        assert dc.Graph(build(3))._bufs is not small._bufs
+        # the small graph's sweep takes the idle buffer the big one left
+        big.value_and_grad({"x": np.ones(4)}, ["x"], np.ones(4))
+        count = len(big._bufs.bufs)
+        assert count
+        small.value_and_grad({"x": np.ones(3)}, ["x"], np.ones(3))
+        assert len(big._bufs.bufs) == count
+        mine.evaluate({"x": np.ones(3)})
+        assert len(big._bufs.bufs) == count
+        # dropping the function frees its graphs and their pool
+        gone = weakref.ref(big)
+        graph_for = big = small = None
+        assert gone() is None
 
     def test_smallest_idle_buffer_that_fits_is_handed_out(self):
         bufs = dc._Buffers()
@@ -877,20 +917,12 @@ def test_residual_training_pool_holds_no_more_than_per_node_liveness():
     (B=90, seqconv d=6, T=12) holds 16 buffers of 4,950,720 bytes in all
     after three sweeps when every array is dropped after its last use, as
     measured; an array held by a sweep plan would pin more."""
-    from mindkit.mindtrain import MindConfig, _Problem
-    from mindkit.models import build_model
-    from mindkit.transforms import TransformSpec, init_transform
-
-    model = build_model("seqconv", 6, seq_len=12, hidden=(8,), seed=2)
-    t = init_transform(TransformSpec("residual", intercept=False), 6, 12,
-                       np.random.default_rng(3))
-    problem = _Problem(model, t, MindConfig(lam=0.1, similarity="cosine"),
-                       {k: v[None] for k, v in t.params.items()})
+    graph_for, step, _ = _residual_fit(6, 12, (8,))[1]()
     rng = np.random.default_rng(6)
     X, fc = rng.normal(size=(90, 6, 12)), rng.uniform(size=90)
     for _ in range(3):
-        problem.value_and_grad({"x": X, "fc": fc})
-    bufs = problem.graph_for(90)._bufs.bufs
+        step({"x": X, "fc": fc})
+    bufs = graph_for(90)._bufs.bufs
     assert len(bufs) <= 16
     assert sum(b.nbytes for b in bufs) <= 4_950_720
 
@@ -903,22 +935,14 @@ def test_residual_fit_shares_one_pool_that_keeps_what_the_vjps_read():
     forward value kept until its own VJP, the training graph held 16
     buffers of 5,500,800 bytes (5.25 MiB) and the validation graph 6 of
     1,710,720 bytes (1.63 MiB)."""
-    from mindkit.mindtrain import MindConfig, _Problem
-    from mindkit.models import build_model
-    from mindkit.transforms import TransformSpec, init_transform
-
-    model = build_model("seqconv", 6, seq_len=12, hidden=(8,),
-                        output="probability", seed=2)
-    t = init_transform(TransformSpec("residual", intercept=False), 6, 12,
-                       np.random.default_rng(3))
-    problem = _Problem(model, t, MindConfig(lam=0.1, similarity="cosine"),
-                       {k: v[None] for k, v in t.params.items()})
+    graph_for, step, loss = _residual_fit(6, 12, (8,))[1]()
     rng = np.random.default_rng(6)
     X, fc = rng.normal(size=(190, 6, 12)), rng.uniform(size=190)
-    problem.value_and_grad({"x": X[:100], "fc": fc[:100]})
-    problem.loss({"x": X[100:], "fc": fc[100:]})
-    pools = {id(g._bufs): g._bufs for g in problem._graphs.values()}
-    assert sorted(problem._graphs) == [90, 100] and len(pools) == 1
+    step({"x": X[:100], "fc": fc[:100]})
+    loss({"x": X[100:], "fc": fc[100:]})
+    assert graph_for.cache_info().currsize == 2  # the graphs of 90 and 100
+    pools = {id(g._bufs): g._bufs for g in map(graph_for, (90, 100))}
+    assert len(pools) == 1
     bufs = next(iter(pools.values())).bufs
     assert len(bufs) <= 10
     assert sum(b.nbytes for b in bufs) <= 4_348_800

@@ -233,23 +233,67 @@ class TestTrainTransform:
             train_transform(m, TransformSpec("gating"), classifier_dataset(),
                             MindConfig(max_epochs=2))
 
+    @pytest.mark.parametrize("spec", [
+        TransformSpec("gating", intercept=True),
+        TransformSpec("basis", intercept=True,
+                      basis=make_basis("pulse", 6, 3)),
+        TransformSpec("residual")], ids=["gating", "basis", "residual"])
+    def test_fit_decays_exactly_the_decay_keys(self, monkeypatch, spec):
+        decays = []
+
+        def adam(params, decay=None):
+            decays.append(decay)
+            return real_adam(params, decay)
+
+        real_adam = mt.Adam
+        monkeypatch.setattr(mt, "Adam", adam)
+        rng = np.random.default_rng(1)
+        if spec.kind == "gating":
+            X = rng.standard_normal((40, 3))
+            m = build_model("mlp", 3, output="probability", seed=1)
+        else:
+            X = rng.standard_normal((40, 3, 6))
+            m = build_model("seqconv", 3, seq_len=6, hidden=(3,), seed=1)
+        ds = from_arrays(X, (X.reshape(40, -1)[:, 0] > 0).astype(float),
+                         {"train": np.arange(30),
+                          "validation": np.arange(30, 40)})
+        for wd in (0.01, 0.0):
+            train_transform(m, spec, ds, MindConfig(max_epochs=1,
+                                                    weight_decay=wd))
+        decay, undecayed = decays
+        assert undecayed is None
+        params = init_transform(spec, 3, ds.seq_len, rng).params
+        assert decay.shape == (sum(v.size for v in params.values()),)
+        rates, start = {}, 0
+        for k, v in params.items():  # the flat layout: keys in order
+            rates[k] = set(decay[start:start + v.size].tolist())
+            start += v.size
+        for k, got in rates.items():
+            if k == "b" or k.endswith("_w"):
+                assert got == {0.01}, k
+            else:
+                assert k in ("g", "gates") or re.fullmatch(
+                    r"block\d+_conv2_b", k), k
+                assert got == {0.0}, k
+        assert {0.0} in rates.values() and {0.01} in rates.values()
+
     @pytest.mark.parametrize("spec,restarts", [
         (TransformSpec("gating"), 2), (TransformSpec("residual"), 1)])
     def test_problem_params_are_views_of_the_fit_buffer(self, monkeypatch,
                                                         spec, restarts):
         # a reshape that copied would leave a parameter behind, unfitted
         seen = {}
-        real_init, real_fit = mt._Problem.__init__, mt.fit_stack
+        real_loss, real_fit = mt._loss, mt.fit_stack
 
-        def init(self, model, transform, config, params):
+        def loss(model, transform, config, params, B):
             seen["params"] = params  # the last one built is the fit's
-            real_init(self, model, transform, config, params)
+            return real_loss(model, transform, config, params, B)
 
         def fit_stack(params, *args):
             seen["flat"] = params
             return real_fit(params, *args)
 
-        monkeypatch.setattr(mt._Problem, "__init__", init)
+        monkeypatch.setattr(mt, "_loss", loss)
         monkeypatch.setattr(mt, "fit_stack", fit_stack)
         rng = np.random.default_rng(1)
         if spec.kind == "residual":
@@ -610,18 +654,19 @@ class TestMultiRestart:
 
 
 def nan_loss_at(monkeypatch, step, index):
-    """Make the stacked loss of slot `index` NaN at training step `step`."""
-    real = mt._Problem.value_and_grad
+    """Make the stacked loss of slot `index` NaN at training step `step`:
+    of the sweeps in a transform fit, only its training steps differentiate."""
+    real = dc.Graph.value_and_grad
     calls = iter(range(10 ** 9))
 
-    def patched(self, rows):
-        losses, grads = real(self, rows)
+    def patched(self, *args, **kwargs):
+        losses, grads = real(self, *args, **kwargs)
         if next(calls) == step:
             losses = losses.copy()
             losses[index] = np.nan
         return losses, grads
 
-    monkeypatch.setattr(mt._Problem, "value_and_grad", patched)
+    monkeypatch.setattr(dc.Graph, "value_and_grad", patched)
 
 
 class TestStackedRestarts:
@@ -664,15 +709,15 @@ class TestStackedRestarts:
         m = build_model("mlp", 3, output="probability", seed=5)
         cfg = MindConfig(lam=0.2, restarts=3, top_k=2, max_epochs=6, seed=7)
         clean = multi_restart(m, TransformSpec("gating"), ds, cfg)
-        real = mt._Problem.value_and_grad
+        real = dc.Graph.value_and_grad
         calls = iter(range(10 ** 9))
 
-        def patched(self, rows):
-            if next(calls) == 3:
-                self.params[self.transform.gate_key][1, 0] = np.nan
-            return real(self, rows)
+        def patched(self, bindings, *args, **kwargs):
+            if next(calls) == 3:  # the bound gates are the fit's own
+                bindings[GatingTransform.gate_key][1, 0] = np.nan
+            return real(self, bindings, *args, **kwargs)
 
-        monkeypatch.setattr(mt._Problem, "value_and_grad", patched)
+        monkeypatch.setattr(dc.Graph, "value_and_grad", patched)
         res = multi_restart(m, TransformSpec("gating"), ds, cfg)
         assert res.failed == [1]
         assert res.failure_reasons[0].startswith(
@@ -786,8 +831,8 @@ class TestStackedRestarts:
             [[r] for r in range(8)]
         t = init_transform(spec, 3, 6, rng)
         with pytest.raises(TrainingError, match="do not stack"):
-            mt._Problem(m, t, cfg, {k: np.stack([v, v])
-                                    for k, v in t.params.items()})
+            mt._loss(m, t, cfg, {k: np.stack([v, v])
+                                 for k, v in t.params.items()}, 4)
 
     def _recording_pool(self, monkeypatch):
         """ProcessPoolExecutor stand-in that runs in-process and records

@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mindkit import diffcore as dc
 from mindkit import optim
 from mindkit.data import from_arrays, substream
 from mindkit.errors import DataError, GraphError, TrainingError
 from mindkit.models import (Model, TrainConfig, build_model, load_model,
                             predict, save_model, shuffle_layer, train,
-                            _loss_graph, _pgd_perturb)
+                            _loss, _pgd_perturb)
 
 
 def blob_dataset(n=300, d=2, seq_len=None, sigma=0.5, mean=1.0, seed=0):
@@ -260,7 +261,7 @@ class TestAdversarial:
     def test_pgd_respects_projection_every_iteration(self):
         rng = np.random.default_rng(13)
         m = build_model("mlp", 3, output="probability", seed=0)
-        graph = _loss_graph(m, (8, 3))
+        graph = dc.Graph(_loss(m, (8, 3)))
         Xb = rng.standard_normal((8, 3))
         binds = {**m.params, "y": rng.integers(0, 2, 8).astype(float)}
         eps = 0.1
@@ -273,7 +274,7 @@ class TestAdversarial:
     def test_pgd_ascends_the_batch_loss(self):
         rng = np.random.default_rng(14)
         m = build_model("mlp", 3, output="probability", seed=1)
-        graph = _loss_graph(m, (16, 3))
+        graph = dc.Graph(_loss(m, (16, 3)))
         Xb = rng.standard_normal((16, 3))
         binds = {**m.params, "y": rng.integers(0, 2, 16).astype(float)}
         Xadv = _pgd_perturb(graph, dict(binds), Xb, 0.2, step=0.05, iters=5)

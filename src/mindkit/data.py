@@ -144,7 +144,7 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
     if not feat_names:
         raise DataError("no feature columns found")
 
-    per_inst: dict[str, dict[int, list]] = {}  # id -> timestamp -> values
+    per_inst: dict[str, list] = {}
     labels: dict[str, float] = {}
     order: list[str] = []
     for ln, row in enumerate(rows, start=2):
@@ -160,32 +160,36 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
         if not (math.isfinite(label) and all(map(math.isfinite, vals))):
             raise DataError(f"{data_path}:{ln}: non-finite value")
         if iid not in per_inst:
-            per_inst[iid] = {}
+            per_inst[iid] = []
             order.append(iid)
             labels[iid] = label
         elif labels[iid] != label:
             raise DataError(f"instance {iid!r} has conflicting labels")
-        if t in per_inst[iid]:
-            raise DataError(f"{data_path}:{ln}: instance {iid!r} repeats "
-                            f"timestamp {t}" if has_time else
-                            "duplicate instance rows in a non-temporal file")
-        per_inst[iid][t] = vals
+        per_inst[iid].append((t, vals))
 
     counts = {len(v) for v in per_inst.values()}
     if len(counts) != 1:
         raise DataError("instances have inconsistent timestamp counts")
     rows_per = counts.pop()
-    if len({tuple(sorted(v)) for v in per_inst.values()}) != 1:
-        raise DataError("instances have inconsistent timestamp sets")
+    if has_time:
+        tsets = {tuple(sorted(t for t, _ in v)) for v in per_inst.values()}
+        if len(tsets) != 1:
+            raise DataError("instances have inconsistent timestamp sets")
+        stamps = tsets.pop()  # every instance's, so each repeats the same
+        for t, after in zip(stamps, stamps[1:]):
+            if t == after:
+                raise DataError(f"instance {order[0]!r} repeats timestamp {t}")
+    elif rows_per != 1:
+        raise DataError("duplicate instance rows in a non-temporal file")
 
     n, d = len(order), len(feat_names)
     if has_time:
         X = np.empty((n, d, rows_per))
         for i, iid in enumerate(order):
-            for k, t in enumerate(sorted(per_inst[iid])):
-                X[i, :, k] = per_inst[iid][t]
+            for k, (_, vals) in enumerate(sorted(per_inst[iid])):
+                X[i, :, k] = vals
     else:
-        X = np.array([per_inst[iid][0] for iid in order])
+        X = np.array([per_inst[iid][0][1] for iid in order])
     y = np.array([labels[iid] for iid in order])
 
     id_index = {iid: i for i, iid in enumerate(order)}
@@ -195,13 +199,12 @@ def load_dataset(data_path, sidecar_path) -> Dataset:
         unknown = [i for i in ids if i not in id_index]
         if unknown:
             raise DataError(f"split {name!r} references unknown ids {unknown[:3]}")
-        repeated = sorted(i for i, c in Counter(ids).items() if c > 1)
-        if repeated:
-            raise DataError(f"ids listed more than once in split {name!r}: "
-                            f"{repeated[:3]}")
         overlap = seen.intersection(ids)
         if overlap:
             raise DataError(f"ids assigned to more than one split: {sorted(overlap)[:3]}")
+        repeated = sorted(i for i, c in Counter(ids).items() if c > 1)
+        if repeated:
+            raise DataError(f"ids listed more than once in split {name!r}: {repeated[:3]}")
         seen.update(ids)
         splits[name] = np.array([id_index[i] for i in ids], dtype=int)
     return Dataset(X, y, splits, feat_names, order, sidecar["task"])

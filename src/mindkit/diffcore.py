@@ -821,16 +821,15 @@ class _Buffers:
 class Graph:
     """A frozen DAG with one scalar-or-tensor output node.
 
-    The large arrays of its sweeps come from a buffer pool (see _Buffers):
-    its own, or the one it shares with the other graphs of a `graphs`
-    cache. So neither one graph nor two graphs that share a pool may be
-    swept by two threads at once. Only the output value and the leaf
-    gradients leave a sweep, and they never share memory with the buffers.
-    Every sweep drops each value after its last use, as far as the reads
-    that each op declares allow. Sweeps run from plans, one built on the
-    first sweep for each set of gradient targets (`evaluate`'s set is
-    empty). Plans hold node indices, bound methods and placeholders, never
-    values.
+    The large arrays of its sweeps come from a buffer pool (see _Buffers),
+    its own or one shared by the graphs of a `graphs` cache. So neither one
+    graph nor two graphs that share a pool may be swept by two threads at
+    once. Only the output value and the leaf gradients leave a sweep, and
+    they never share memory with the buffers. Every sweep drops each value
+    after its last use, as far as the reads that each op declares allow.
+    Sweeps run from plans, one built on the first sweep for each set of
+    gradient targets (`evaluate`'s set is empty). Plans hold node indices,
+    bound methods and placeholders, never values.
     """
 
     def __init__(self, output: Node):
@@ -1000,9 +999,9 @@ class Graph:
 
 
 def graphs(build):
-    """A cached key -> Graph(build(key)) function, such as a fit's loss
-    graph per batch size, whose graphs share one buffer pool (and share it
-    with no other graph). Dropping the function frees the graphs and pool."""
+    """A cached key -> Graph(build(key)) function, such as a fit's loss graph
+    per batch size; its graphs share one buffer pool, and no other graph
+    does. Dropping the function frees the graphs and their pool."""
     pool = _Buffers()
 
     @functools.cache

@@ -240,8 +240,7 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     template = transforms[0]
     flat, params = flat_params({k: np.stack([t.params[k] for t in transforms])
                                 for k in template.params})
-    graph_for = dc.graphs(functools.partial(_loss, model, template, config,
-                                            params))
+    graph_for = dc.graphs(lambda B: _loss(model, template, config, params, B))
 
     train_rows = {"x": Xtr, "fc": predict(model, Xtr), **template.extra(Xtr)}
     fc_va = predict(model, Xva)

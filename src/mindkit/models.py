@@ -191,8 +191,6 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray | float:
 
 
 def _loss(model: Model, batch_shape: tuple) -> dc.Node:
-    """The mean training loss of a batch of `batch_shape` under the
-    parameter leaves: cross-entropy on logits, or squared error."""
     x = dc.leaf("x", batch_shape)
     y = dc.leaf("y", (batch_shape[0],))
     params = {k: dc.leaf(k, v.shape) for k, v in model.params.items()}

@@ -161,7 +161,7 @@ class TestCsvRoundTrip:
         side = tmp_path / "bad.sidecar.json"
         side.write_text(sidecar_text({"train": ["i0", "i1"]}))
         with pytest.raises(DataError, match=re.escape(
-                "bad.csv:3: instance 'i0' repeats timestamp 0")):
+                "instance 'i0' repeats timestamp 0")):
             load_dataset(path, side)
 
     def test_repeated_instance_row_rejected(self, tmp_path):

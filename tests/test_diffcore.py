@@ -388,16 +388,17 @@ def _seq_block(x, w):
     return dc.normalize(h)
 
 
-def _residual_fit(d, T, hidden):
+def _residual_fit(d, T, hidden, output=None):
     """The parameters of a one-restart residual transform fit in front of a
-    frozen seqconv model, and a function that gives a fresh cache of the
-    fit's loss graphs (`dc.graphs` of `mindtrain._loss`), its training step
-    and its validation pass, each on a dict of rows."""
+    frozen seqconv model with the given output, and a function that gives a
+    fresh cache of the fit's loss graphs (`dc.graphs` of `mindtrain._loss`),
+    its training step and its validation pass, each on a dict of rows."""
     from mindkit.mindtrain import MindConfig, _loss
     from mindkit.models import build_model
     from mindkit.transforms import TransformSpec, init_transform
 
-    model = build_model("seqconv", d, seq_len=T, hidden=hidden, seed=2)
+    model = build_model("seqconv", d, seq_len=T, hidden=hidden, output=output,
+                        seed=2)
     t = init_transform(TransformSpec("residual", intercept=False), d, T,
                        np.random.default_rng(3))
     cfg = MindConfig(lam=0.1, similarity="cosine")
@@ -935,7 +936,7 @@ def test_residual_fit_shares_one_pool_that_keeps_what_the_vjps_read():
     forward value kept until its own VJP, the training graph held 16
     buffers of 5,500,800 bytes (5.25 MiB) and the validation graph 6 of
     1,710,720 bytes (1.63 MiB)."""
-    graph_for, step, loss = _residual_fit(6, 12, (8,))[1]()
+    graph_for, step, loss = _residual_fit(6, 12, (8,), "probability")[1]()
     rng = np.random.default_rng(6)
     X, fc = rng.normal(size=(190, 6, 12)), rng.uniform(size=190)
     step({"x": X[:100], "fc": fc[:100]})

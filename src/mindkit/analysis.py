@@ -308,12 +308,13 @@ def build_report(result, config, feature_names: list[str],
     """Assemble the per-feature score report emitted by the pipeline.
 
     Carries the per-feature score mean/std over the selected restarts, the
-    correlation profile, per-channel detail for channel-gated transforms,
-    and an echo of the training configuration.
+    correlation profile with a count of the restarts in which it is
+    undefined, per-channel detail for channel-gated transforms, and an echo
+    of the training configuration.
     """
     mean = np.asarray(result.mean)
     report = {
-        "schema": "mindkit.report/1",
+        "schema": "mindkit.report/2",
         "score_kind": result.score_kind,
         "lambda": result.lam,
         "features": list(feature_names),
@@ -321,6 +322,7 @@ def build_report(result, config, feature_names: list[str],
         "score_std": jsonsafe(result.feature_spread()),
         "correlation_mean": jsonsafe(result.rho_mean),
         "correlation_std": jsonsafe(result.rho_std),
+        "correlation_undefined": jsonsafe(result.rho_undefined),
         "restarts": {
             "selected": list(result.selected),
             "failed": list(result.failed),

@@ -215,11 +215,12 @@ def _cmd_tune_lambda(args) -> None:
 
 
 def _read_report(path) -> dict:
-    """A mindkit.report/1 document whose per-feature lists, and channel
+    """A mindkit.report/2 document whose per-feature lists, and channel
     grid, hold one entry per feature."""
-    report = schemas.read_json(path, expect="mindkit.report/1")
+    report = schemas.read_json(path, expect="mindkit.report/2")
     lists = [report[k] for k in ("score_mean", "score_std",
-                                 "correlation_mean", "correlation_std")]
+                                 "correlation_mean", "correlation_std",
+                                 "correlation_undefined")]
     channels = report.get("channels")
     rows = []
     if channels:
@@ -239,7 +240,7 @@ def _cmd_score(args) -> None:
     schemas.write_json(out / "report.json", manifest)
     features = manifest["features"]
     columns = ["feature", "score_mean", "score_std",
-               "correlation_mean", "correlation_std"]
+               "correlation_mean", "correlation_std", "correlation_undefined"]
     channel_block = manifest.get("channels")
     if channel_block:
         for name in channel_block["names"]:
@@ -252,7 +253,8 @@ def _cmd_score(args) -> None:
                 row = [feat, manifest["score_mean"][j],
                        manifest["score_std"][j],
                        manifest["correlation_mean"][j],
-                       manifest["correlation_std"][j]]
+                       manifest["correlation_std"][j],
+                       manifest["correlation_undefined"][j]]
                 if channel_block:
                     for k in range(len(channel_block["names"])):
                         row += [channel_block["score_mean"][j][k],

@@ -19,8 +19,18 @@ from .errors import GraphError
 
 NORM_EPS = 1e-12       # zero-norm guard used by the cosine primitives
 _BN_EPS = 1e-5         # variance floor inside the normalization primitive
-_SQRT2 = float(np.sqrt(2.0))
 _PHI_SCALE = float(1.0 / np.sqrt(2.0 * np.pi))
+# Phi(-|x|) = exp(-x^2/2) P(|x|) / Q(|x|): Hart's algorithm 5666, with the
+# coefficients that West (2005, "Better approximations to cumulative normal
+# functions") prints, lowest degree first; both are divided by Q's leading
+# 8.83883476483184e-02, so that Q is monic
+_HART_P = tuple(c / 8.83883476483184e-02 for c in (
+    220.206867912376, 221.213596169931, 112.079291497871, 33.912866078383,
+    6.37396220353165, 0.700383064443688, 3.52624965998911e-02))
+_HART_Q = tuple(c / 8.83883476483184e-02 for c in (
+    440.413735824752, 793.826512519948, 637.333633378831, 296.564248779674,
+    86.7807322029461, 16.064177579207, 1.75566716318264))
+_HART_CLAMP = 40.0  # exp(-40^2/2) underflows: Phi is exactly 0 or 1 beyond
 
 
 def tensor(data) -> np.ndarray:
@@ -254,34 +264,46 @@ class _Relu:
 
 
 class _Gelu:
-    """Exact Gaussian-CDF form: x * Phi(x); Phi(x) is saved for the VJP."""
+    """Exact Gaussian-CDF form: x * Phi(x). Its derivative
+    Phi(x) + x * phi(x) is saved for the VJP."""
 
     saves = buffered = True
 
     def reads(self, needs):
-        return (needs[0],), False, needs[0]
+        return (False,), False, needs[0]
 
     def forward(self, x, empty=np.empty):
-        from scipy.special import erf  # only sequence models use GeLU
-        cdf = np.divide(x, _SQRT2, out=empty(x.shape))
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        return np.multiply(x, cdf, out=empty(x.shape)), cdf
+        # a = min(|x|, 40), so that no finite x overflows
+        a = np.abs(x, out=empty(x.shape))
+        np.minimum(a, _HART_CLAMP, out=a)
+        v = np.multiply(a, _HART_P[6], out=empty(x.shape))
+        for c in _HART_P[5:0:-1]:
+            v += c
+            v *= a
+        v += _HART_P[0]
+        q = np.add(a, _HART_Q[6], out=empty(x.shape))
+        for c in _HART_Q[5::-1]:
+            q *= a
+            q += c
+        v /= q
+        # q becomes exp(-x^2/2), phi(x), then the derivative; v becomes
+        # Phi(-|x|), then Phi(x)
+        np.multiply(a, a, out=q)
+        q *= -0.5
+        np.exp(q, out=q)
+        v *= q
+        q *= _PHI_SCALE
+        np.subtract(0.5, v, out=v)
+        np.copysign(v, x, out=v)
+        v += 0.5
+        q *= x
+        q += v
+        return np.multiply(x, v, out=a), q
 
-    def vjp(self, g, y, xs, needs, cdf, empty=np.empty):
+    def vjp(self, g, y, xs, needs, dydx, empty=np.empty):
         if not needs[0]:
             return (None,)
-        x = xs[0]
-        # g * (cdf + x * pdf), accumulated in place in the pdf buffer
-        out = np.multiply(x, -0.5, out=empty(x.shape))
-        out *= x
-        np.exp(out, out=out)
-        out *= _PHI_SCALE
-        out *= x
-        out += cdf
-        out *= g
-        return (out,)
+        return (np.multiply(g, dydx, out=empty(g.shape)),)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

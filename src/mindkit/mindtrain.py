@@ -409,6 +409,7 @@ class MindResult:
     std: np.ndarray
     rho_mean: np.ndarray
     rho_std: np.ndarray
+    rho_undefined: np.ndarray  # per feature: selected runs with a NaN rho
     selected: list[int]
     failed: list[int]
     diagnostics: list[MindDiagnostics]
@@ -425,7 +426,19 @@ class MindResult:
         within each run first, population std across runs)."""
         per_run = self.samples.mean(axis=2) if self.samples.ndim == 3 \
             else self.samples
-        return per_run.std(axis=0)
+        return _defined_mean_std(per_run)[1]
+
+
+def _defined_mean_std(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std over the leading (run) axis of the values
+    that are defined (not NaN); NaN, without a warning, where none is.
+    With no NaN these are the bits of samples.mean(0) and samples.std(0)."""
+    defined = ~np.isnan(samples)
+    n = defined.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        mean = np.where(defined, samples, 0.0).sum(axis=0) / n
+        dev = np.where(defined, samples - mean, 0.0)
+        return mean, np.sqrt((dev * dev).sum(axis=0) / n)
 
 
 def _values_per_restart(model: Model, tspec: tf.TransformSpec,
@@ -465,8 +478,9 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     stacked problem; with `threads` > 1 a process pool of up to that many
     workers fits the chunks side by side. Scores are the gates for gated
     families and the per-feature correlation profile for the residual
-    family. Mean and std use the selected runs (population std, so a single
-    selected run reports zero spread).
+    family. Mean and std are over the selected runs (population std, so a
+    single selected run reports zero spread); a correlation's leave out the
+    runs where it is undefined (NaN), which `rho_undefined` counts.
     """
     if threads < 1:
         raise TrainingError(f"threads must be at least 1, got {threads}")
@@ -495,10 +509,12 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     scores = rho if first.gate_key is None else \
         np.stack([t.params[t.gate_key] for _, t, _ in top])
 
+    mean, std = _defined_mean_std(scores)
+    rho_mean, rho_std = _defined_mean_std(rho)
     return MindResult(
-        score_kind=first.score_kind, samples=scores,
-        mean=scores.mean(axis=0), std=scores.std(axis=0),
-        rho_mean=rho.mean(axis=0), rho_std=rho.std(axis=0),
+        score_kind=first.score_kind, samples=scores, mean=mean, std=std,
+        rho_mean=rho_mean, rho_std=rho_std,
+        rho_undefined=np.isnan(rho).sum(axis=0),
         selected=[r for r, _, _ in top], failed=[r for r, _ in failures],
         diagnostics=[d for _, _, d in runs],
         transforms=[t for _, t, _ in top],

@@ -1,7 +1,7 @@
 """Versioned JSON schemas for every artifact the pipeline reads or writes.
 
 Each artifact embeds its schema id in a top-level "schema" field, e.g.
-"mindkit.report/1". Floats that would not survive strict JSON (NaN,
+"mindkit.report/2". Floats that would not survive strict JSON (NaN,
 infinities) are written as null, so numeric fields generally admit null.
 """
 from __future__ import annotations
@@ -112,13 +112,14 @@ SCHEMAS: dict[str, dict] = {
             },
         },
     },
-    "mindkit.report/1": {
+    "mindkit.report/2": {
         "type": "object",
         "required": ["schema", "score_kind", "lambda", "features",
                      "score_mean", "score_std", "correlation_mean",
-                     "correlation_std", "restarts", "config"],
+                     "correlation_std", "correlation_undefined", "restarts",
+                     "config"],
         "properties": {
-            "schema": {"const": "mindkit.report/1"},
+            "schema": {"const": "mindkit.report/2"},
             "score_kind": {"enum": ["gates", "gates_by_channel",
                                     "correlation"]},
             "lambda": _NUM,
@@ -127,6 +128,7 @@ SCHEMAS: dict[str, dict] = {
             "score_std": _NUMS,
             "correlation_mean": _NUMS,
             "correlation_std": _NUMS,
+            "correlation_undefined": _INTS,
             "channels": {
                 "type": "object",
                 "required": ["names", "score_mean", "score_std"],

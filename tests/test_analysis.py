@@ -363,7 +363,7 @@ class TestBuildReport:
         from mindkit.analysis import build_report
         res, cfg = quick_result()
         report = build_report(res, cfg, ["f0", "f1", "f2"])
-        assert validate_artifact(report) == "mindkit.report/1"
+        assert validate_artifact(report) == "mindkit.report/2"
         text = json.dumps(report, allow_nan=False)
         assert json.loads(text)["score_kind"] == "gates"
         assert len(report["score_mean"]) == 3
@@ -377,11 +377,12 @@ class TestBuildReport:
         res = MindResult(score_kind="gates_by_channel", samples=samples,
                          mean=samples.mean(axis=0), std=samples.std(axis=0),
                          rho_mean=np.zeros(2), rho_std=np.zeros(2),
+                         rho_undefined=np.zeros(2, dtype=int),
                          selected=[0, 1], failed=[], diagnostics=[],
                          transforms=[], lam=0.1)
         report = build_report(res, cfg, ["a", "b"],
                               channel_names=["mean", "window1"])
-        assert validate_artifact(report) == "mindkit.report/1"
+        assert validate_artifact(report) == "mindkit.report/2"
         assert report["channels"]["names"] == ["mean", "window1"]
         assert len(report["channels"]["score_mean"]) == 2
 

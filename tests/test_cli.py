@@ -200,10 +200,9 @@ def _loaded_after(code, packages):
 
 
 def test_cli_import_skips_scipy():
-    """Only the GeLU of sequence models uses scipy, and it imports it when
-    first called, so commands on other models never load it; the process
-    pool is imported only for `--threads` > 1, and artifacts are checked
-    without jsonschema."""
+    """mindkit needs no scipy (its GeLU computes the Gaussian CDF
+    itself); the process pool is imported only for `--threads` > 1, and
+    artifacts are checked without jsonschema."""
     assert _loaded_after("import mindkit.cli", (
         "scipy", "jsonschema", "concurrent", "multiprocessing")) == "[]"
 
@@ -267,6 +266,40 @@ def test_baselines_on_an_mlp_skips_scipy(pipeline, tmp_path):
     table = read(tmp_path / "base" / "baselines.json")["spearman"]
     assert any(row["p"] is not None and 0.0 < row["p"] < 1.0
                for row in table)
+
+
+def test_seq_pipeline_commands_skip_scipy(tmp_path):
+    """Every command of the pipeline on a seqconv model, whose GeLU needs
+    the Gaussian CDF, in one process."""
+    (tmp_path / "gen.json").write_text(json.dumps(
+        {"n": 120, "d": 3, "seq_len": 6, "planted": [0]}))
+    (tmp_path / "train.json").write_text(json.dumps({"max_epochs": 2}))
+    (tmp_path / "mind.json").write_text(json.dumps(
+        {"max_epochs": 2, "restarts": 2, "top_k": 1}))
+    data = ["--data", str(tmp_path / "data" / "data.csv")]
+    model = ["--model", str(tmp_path / "model" / "model.json")]
+    mind = ["--config", str(tmp_path / "mind.json")]
+    report = ["--report", str(tmp_path / "report" / "report.json")]
+    argvs = [
+        ["gen-data", "--config", str(tmp_path / "gen.json"),
+         "--out", str(tmp_path / "data")],
+        ["train-model", *data, "--arch", "seqconv", "--hidden", "4",
+         "--config", str(tmp_path / "train.json"),
+         "--out", str(tmp_path / "model")],
+        ["tune-lambda", *data, *model, *mind, "--out", str(tmp_path / "tune")],
+        ["train-transform", *data, *model, *mind,
+         "--out", str(tmp_path / "transform")],
+        ["score", "--manifest", str(tmp_path / "transform" / "manifest.json"),
+         "--out", str(tmp_path / "report")],
+        ["baselines", *data, *model, *report, "--steps", "4",
+         "--out", str(tmp_path / "base")],
+        ["sanity-check", *data, *model, *report, *mind, "--shuffles", "1",
+         "--out", str(tmp_path / "sanity")],
+    ]
+    code = ("from mindkit.cli import main; "
+            f"assert all(main(a) == 0 for a in {argvs!r})")
+    assert _loaded_after(code, ("scipy",)).splitlines()[-1] == "[]"
+    assert (tmp_path / "sanity" / "sanity.json").exists()
 
 
 @pytest.mark.parametrize("shuffles", ["0", "-1"])
@@ -392,7 +425,7 @@ class TestTrainModel:
 class TestTransformPipeline:
     def test_planted_feature_flagged(self, pipeline):
         report = read(pipeline["report"])
-        assert validate_artifact(report) == "mindkit.report/1"
+        assert validate_artifact(report) == "mindkit.report/2"
         scores = report["score_mean"]
         assert scores[0] < 0.05  # the generating model ignores feature 0
         assert all(s > scores[0] + 0.1 for s in scores[1:])
@@ -458,7 +491,7 @@ class TestTransformPipeline:
         doc = structured_error(
             capsys, ["score", "--manifest", str(pipeline["truth"]),
                      "--out", str(pipeline["root"] / "bad")], "score")
-        assert "mindkit.report/1" in doc["message"]
+        assert "mindkit.report/2" in doc["message"]
 
 
 # Malformed inputs that reach past argument parsing; each must end in one

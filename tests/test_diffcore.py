@@ -979,6 +979,40 @@ class TestStability:
         want = np.array([0.5 * v * (1 + erf(v / sqrt(2))) for v in xv])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
+    @staticmethod
+    def _gelu_and_derivative(xv):
+        """GeLU of each entry and its gradient under a seed of ones, so
+        each entry is the saved derivative times 1."""
+        graph = dc.Graph(dc.gelu(dc.leaf("x", xv.shape)))
+        y, grads = graph.value_and_grad({"x": xv}, wrt=["x"],
+                                        seed=np.ones_like(xv))
+        return y, grads["x"]
+
+    def test_gelu_and_its_derivative_match_erfc_to_the_last_bits(self):
+        from math import erfc, exp, pi, sqrt
+        xv = np.linspace(-40.0, 40.0, 160_001)
+        cdf = np.array([0.5 * erfc(-v / sqrt(2)) for v in xv])
+        pdf = np.array([exp(-0.5 * v * v) / sqrt(2 * pi) for v in xv])
+        got, dydx = self._gelu_and_derivative(xv)
+        err = np.abs(got - xv * cdf) / np.maximum(1.0, np.abs(xv))
+        assert err.max() <= 4.5e-16
+        assert np.abs(dydx - (cdf + xv * pdf)).max() <= 4.5e-16
+
+    def test_gelu_is_finite_and_signed_at_extreme_inputs(self):
+        # warnings are errors in this suite, so no overflow may warn
+        xv = np.array([1e300, -1e300, 1e50, -1e50, 40.0, -40.0, 1e-300,
+                       -1e-300, 5e-324, 0.0, -0.0])
+        got, dydx = self._gelu_and_derivative(xv)
+        big = np.abs(xv) >= 40.0
+        np.testing.assert_array_equal(got[big], np.where(xv[big] > 0,
+                                                         xv[big], 0.0))
+        np.testing.assert_array_equal(dydx[big], np.where(xv[big] > 0,
+                                                          1.0, 0.0))
+        np.testing.assert_array_equal(got[~big], 0.5 * xv[~big])
+        np.testing.assert_array_equal(dydx[~big], 0.5)
+        # at -0.0, Phi is 1/2 and the output keeps the sign
+        assert got[-1] == 0.0 and np.signbit(got[-1])
+
 
 class TestValidation:
     def test_unbound_leaf_rejected(self):

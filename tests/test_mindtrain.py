@@ -631,12 +631,49 @@ class TestMultiRestart:
         assert res.mean.shape == (2,)
         np.testing.assert_array_equal(res.mean, res.rho_mean)
 
+    def test_undefined_correlations_are_counted_not_averaged(
+            self, monkeypatch):
+        from mindkit.analysis import build_report
+        real = mt.analysis.correlation_profile
+        calls = iter(range(10 ** 9))
+
+        def flagged(X, Xp):
+            rho = real(X, Xp)
+            rho[1] = np.nan  # undefined in every restart
+            if next(calls) == 0:
+                rho[0] = np.nan  # undefined in the first restart only
+            return rho
+
+        monkeypatch.setattr(mt.analysis, "correlation_profile", flagged)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((80, 3, 8))
+        y = (X.mean(axis=(1, 2)) > 0).astype(float)
+        ds = from_arrays(X, y, {"train": np.arange(60),
+                                "validation": np.arange(60, 80)})
+        m = build_model("seqconv", 3, seq_len=8, hidden=(4,), seed=7)
+        cfg = MindConfig(lam=0.1, restarts=3, top_k=3, max_epochs=3, seed=9)
+        res = multi_restart(m, TransformSpec("residual"), ds, cfg)
+        np.testing.assert_array_equal(res.rho_undefined, [1, 3, 0])
+        defined = res.samples[:, 0][~np.isnan(res.samples[:, 0])]
+        assert defined.size == 2
+        np.testing.assert_allclose(res.rho_mean[0], defined.mean())
+        np.testing.assert_allclose(res.rho_std[0], defined.std())
+        assert np.isnan(res.rho_mean[1]) and np.isnan(res.rho_std[1])
+        # the residual family's scores are the correlations
+        np.testing.assert_array_equal(res.mean, res.rho_mean)
+        np.testing.assert_array_equal(res.feature_spread(), res.rho_std)
+        report = build_report(res, cfg, ["f0", "f1", "f2"])
+        assert report["correlation_undefined"] == [1, 3, 0]
+        assert report["score_mean"][0] is not None
+        assert report["correlation_mean"][1] is None
+
     def test_channel_gate_summaries(self):
         samples = np.array([[[1.0, 0.0], [0.5, 0.5]],
                             [[0.0, 1.0], [0.5, 0.5]]])  # (runs, d, C)
         res = MindResult(score_kind="gates_by_channel", samples=samples,
                          mean=samples.mean(axis=0), std=samples.std(axis=0),
                          rho_mean=np.zeros(2), rho_std=np.zeros(2),
+                         rho_undefined=np.zeros(2, dtype=int),
                          selected=[0, 1], failed=[], diagnostics=[],
                          transforms=[], lam=0.1)
         np.testing.assert_allclose(res.feature_scores(), [0.5, 0.5])
@@ -647,6 +684,7 @@ class TestMultiRestart:
         res = MindResult(score_kind="gates", samples=samples,
                          mean=samples.mean(axis=0), std=samples.std(axis=0),
                          rho_mean=np.zeros(2), rho_std=np.zeros(2),
+                         rho_undefined=np.zeros(2, dtype=int),
                          selected=[0, 1], failed=[], diagnostics=[],
                          transforms=[], lam=0.1)
         np.testing.assert_allclose(res.feature_scores(), [0.5, 0.3])

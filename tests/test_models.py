@@ -366,15 +366,16 @@ class TestCheckpoints:
     def test_rejects_a_report_file(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({
-            "schema": "mindkit.report/1", "score_kind": "gates",
+            "schema": "mindkit.report/2", "score_kind": "gates",
             "lambda": 0.1, "features": [], "score_mean": [], "score_std": [],
             "correlation_mean": [], "correlation_std": [],
+            "correlation_undefined": [],
             "restarts": {"selected": [], "failed": [], "runs": []},
             "config": {}}))
         with pytest.raises(DataError) as err:
             load_model(path)
         assert str(err.value) == \
-            f"{path} holds mindkit.report/1, expected mindkit.model/1"
+            f"{path} holds mindkit.report/2, expected mindkit.model/1"
 
     def test_save_validates_before_writing(self, tmp_path):
         path = tmp_path / "model.json"

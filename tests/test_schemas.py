@@ -60,11 +60,11 @@ CASES = {
          ("properties", "/basis/K", True),
          ("const", "/schema", "mindkit.transform/2"),
          ("enum", "/basis/kind", "fourier")]),
-    "mindkit.report/1": (
-        {"schema": "mindkit.report/1", "score_kind": "gates_by_channel",
+    "mindkit.report/2": (
+        {"schema": "mindkit.report/2", "score_kind": "gates_by_channel",
          "lambda": 0.1, "features": ["f0", "f1"], "score_mean": [0.0, 0.5],
          "score_std": [0.0, None], "correlation_mean": [0.9, 0.1],
-         "correlation_std": [0.0, 0.0],
+         "correlation_std": [0.0, 0.0], "correlation_undefined": [0, 1],
          "channels": {"names": ["c0"], "score_mean": [[0.0], [0.5]],
                       "score_std": [[0.0], [0.0]]},
          "restarts": {"selected": [0, 2], "failed": [1], "runs": [{"r": 0}]},

@@ -391,29 +391,35 @@ class SanityOutcome:
 SANITY_RESTARTS = 3  # per shuffled instance, to bound the check's runtime
 
 
-def _refit_outcome(layer: str, fits, tspec, dataset: Dataset,
-                   reference_scores: np.ndarray,
-                   threads: int) -> SanityOutcome:
-    """Refit each (model, config) pair in `fits` with SANITY_RESTARTS
-    restarts and rank-correlate its scores with reference_scores. A fit
-    that raises TrainingError is counted as a failure, not fatal."""
+def _refit_outcomes(fits, tspec, dataset: Dataset,
+                    reference_scores: np.ndarray,
+                    threads: int) -> list[SanityOutcome]:
+    """Refit the model of each (layer, model, config) triple in `fits` with
+    SANITY_RESTARTS restarts, and rank-correlate its scores with
+    reference_scores; one outcome per layer, in order. The restarts of all
+    the fits are one job list. A fit whose top-k selection raises
+    TrainingError is counted as a failure, not fatal."""
     from . import mindtrain  # deferred: mindtrain imports this module
 
     reference = np.asarray(reference_scores, dtype=np.float64).ravel()
-    rhos: list[float] = []
-    failures = 0
-    for model, config in fits:
-        config = replace(config, restarts=SANITY_RESTARTS,
-                         top_k=min(config.top_k, SANITY_RESTARTS))
+    configs = [replace(config, restarts=SANITY_RESTARTS,
+                       top_k=min(config.top_k, SANITY_RESTARTS))
+               for _, _, config in fits]
+    jobs = [job for (_, model, _), config in zip(fits, configs)
+            for job in mindtrain.restart_jobs(model, config)]
+    outcomes = mindtrain.fit_jobs(tspec, dataset, configs[0], jobs, threads)
+    results = {layer: SanityOutcome(layer=layer, rhos=[], n=len(reference),
+                                    failures=0) for layer, _, _ in fits}
+    for i, ((layer, _, _), config) in enumerate(zip(fits, configs)):
         try:
-            result = mindtrain.multi_restart(model, tspec, dataset, config,
-                                             threads=threads)
+            result = mindtrain.top_k_result(config, outcomes[
+                i * SANITY_RESTARTS:(i + 1) * SANITY_RESTARTS])
         except TrainingError:
-            failures += 1
+            results[layer].failures += 1
             continue
-        rhos.append(spearman_rho(reference, result.feature_scores())[0])
-    return SanityOutcome(layer=layer, rhos=rhos, n=len(reference),
-                         failures=failures)
+        results[layer].rhos.append(
+            spearman_rho(reference, result.feature_scores())[0])
+    return list(results.values())
 
 
 def sanity_check(model: Model, tspec, dataset: Dataset, config,
@@ -429,15 +435,11 @@ def sanity_check(model: Model, tspec, dataset: Dataset, config,
     """
     if shuffles < 1:
         raise AnalysisError(f"shuffles must be at least 1, got {shuffles}")
-
-    def damaged(li: int, layer: str):
-        for s in range(shuffles):
-            rng = substream(seed, f"sanity.{layer}.shuffle{s}")
-            yield shuffle_layer(model, li, rng), config
-
-    return [_refit_outcome(layer, damaged(li, layer), tspec, dataset,
-                           reference_scores, threads)
-            for li, layer in enumerate(model.layer_names())]
+    fits = [(layer, shuffle_layer(model, li, substream(
+                seed, f"sanity.{layer}.shuffle{s}")), config)
+            for li, layer in enumerate(model.layer_names())
+            for s in range(shuffles)]
+    return _refit_outcomes(fits, tspec, dataset, reference_scores, threads)
 
 
 def restart_baseline(model: Model, tspec, dataset: Dataset, config,
@@ -451,11 +453,9 @@ def restart_baseline(model: Model, tspec, dataset: Dataset, config,
     """
     if instances < 1:
         raise AnalysisError(f"instances must be at least 1, got {instances}")
-
-    def reseeded():
-        for s in range(instances):
-            rng = substream(seed, f"baseline.instance{s}")
-            yield model, replace(config, seed=int(rng.integers(2 ** 31 - 1)))
-
-    return _refit_outcome("baseline", reseeded(), tspec, dataset,
-                          reference_scores, threads)
+    fits = [("baseline", model, replace(config, seed=int(substream(
+        seed, f"baseline.instance{s}").integers(2 ** 31 - 1))))
+            for s in range(instances)]
+    [outcome] = _refit_outcomes(fits, tspec, dataset, reference_scores,
+                                threads)
+    return outcome

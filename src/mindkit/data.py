@@ -17,6 +17,10 @@ from . import schemas
 from .errors import DataError, require_finite
 
 SPLIT_NAMES = ("train", "validation", "test")
+# The most feature values (8 GB as float64) a synthetic dataset may hold,
+# indicator channels included; larger specs are refused before anything
+# is allocated, rather than left to fail inside numpy.
+MAX_SYNTHETIC_VALUES = 10 ** 9
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -247,6 +251,11 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.n < 3 or self.d < 1:
             raise DataError("need n >= 3 and d >= 1")
+        values = self.n * (self.d + len(self.missing)) * (self.seq_len or 1)
+        if values > MAX_SYNTHETIC_VALUES:
+            raise DataError(
+                f"n * (d + len(missing)) * seq_len = {values} feature values "
+                f"exceed the limit of {MAX_SYNTHETIC_VALUES}")
         require_finite(self, DataError)
         if self.beta is not None and not all(map(math.isfinite, self.beta)):
             raise DataError(f"beta must be finite, got {list(self.beta)}")

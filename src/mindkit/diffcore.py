@@ -174,8 +174,8 @@ class _MatMul:
 
     def vjp(self, g, y, xs, needs, saved):
         a, b = xs
-        da = g @ b.T if needs[0] else None
-        db = a.T @ g if needs[1] else None
+        da = g @ np.swapaxes(b, -1, -2) if needs[0] else None
+        db = np.swapaxes(a, -1, -2) @ g if needs[1] else None
         return da, db
 
 
@@ -640,11 +640,15 @@ def scale(x: Node, c: float) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise GraphError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
+    """a @ b for 2-D operands, or for 3-D ones that stack J such products
+    along a shared leading axis: (J, m, k) @ (J, k, n) -> (J, m, n)."""
+    if len(a.shape) not in (2, 3) or len(b.shape) != len(a.shape):
+        raise GraphError("matmul expects two 2-D or two 3-D operands")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise GraphError(f"matmul stacks differ: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise GraphError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return Node(_MatMul(), (a, b), (a.shape[0], b.shape[1]))
+    return Node(_MatMul(), (a, b), a.shape[:-1] + b.shape[-1:])
 
 
 def conv1d(x: Node, w: Node, padding: int = 0, dilation: int = 1,

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,7 +113,8 @@ def w1_reduced(model: Model, X: np.ndarray, Xp: np.ndarray):
 
 
 def _loss(model: Model, t, cfg: MindConfig, params: dict[str, np.ndarray],
-          B: int) -> dc.Node:
+          B: int, lam: np.ndarray | None = None,
+          frozen: dict[str, dc.Node] | None = None) -> dc.Node:
     """The loss node of R restarts of transform family t fitted as one
     stacked problem on batches of B rows; R is 1 unless the family stacks.
 
@@ -119,7 +122,11 @@ def _loss(model: Model, t, cfg: MindConfig, params: dict[str, np.ndarray],
     axis, and names the parameter leaves. The input stacks the R batches;
     the frozen model runs once over all R * B rows; the output is the
     vector of the R restarts' own losses, each a mean over its own rows,
-    so that the gradient of their sum keeps the restarts apart.
+    so that the gradient of their sum keeps the restarts apart. `lam`
+    holds the R restarts' penalty weights (cfg.lam each by default), and
+    `frozen` the frozen model's parameter nodes (its own by default), with
+    a leading axis of R models where the restarts face different models
+    (see models.forward_graph).
     """
     R = len(next(iter(params.values())))
     if R > 1 and not t.stacks:
@@ -135,11 +142,15 @@ def _loss(model: Model, t, cfg: MindConfig, params: dict[str, np.ndarray],
     else:   # the one restart's parameters, without the restart axis
         xp = t.graph(x, {k: dc.reshape(v, v.shape[1:])
                          for k, v in nodes.items()})
-    f = forward_graph(model, xp, param_nodes(model))
+    f = forward_graph(model, xp, param_nodes(model) if frozen is None
+                      else frozen)
     fc = dc.leaf("fc", (R * B,))
     diff = dc.sub(f, fc)
     dist_vec = dc.abs_(diff) if cfg.distance == "w1" else dc.mul(diff, diff)
     dist = _restart_means(dist_vec, R)
+    lam = np.full(R, cfg.lam) if lam is None else lam
+    if not lam.any():
+        return dist
     if cfg.similarity == "cosine":
         sims = dc.cosine_rows(xp, x)
         if cfg.clip_similarity_at_zero:
@@ -151,7 +162,7 @@ def _loss(model: Model, t, cfg: MindConfig, params: dict[str, np.ndarray],
         gates = nodes[t.gate_key]
         per_restart = int(np.prod(gates.shape[1:]))
         sim = dc.sum_(dc.reshape(dc.abs_(gates), (R, per_restart)), axis=1)
-    return dist if cfg.lam == 0 else dc.add(dist, dc.scale(sim, cfg.lam))
+    return dc.add(dist, dc.mul(sim, dc.constant(lam)))
 
 
 def _restart_means(per_row: dc.Node, R: int) -> dc.Node:
@@ -178,20 +189,25 @@ def mind_loss(model: Model, transform, X: np.ndarray,
 # training
 # ---------------------------------------------------------------------------
 
-# Restarts of a family that stacks, fitted together, hold at most this
-# many float64 node values in their stacked training graph (512 KiB),
-# estimated as R times the one-restart graph. Stacking pays while a step
-# is dominated by per-node dispatch; it stops paying once the arrays are
-# large. On a 2-vCPU VM with one BLAS thread, an 8-restart MLP gating fit
-# ran 1.7x faster in chunks of 4, while 4 stacked seqconv gating restarts
-# took 1.35-1.49 ms per restart-step against 1.34-1.37 ms alone, and
-# 2.4 MB more peak memory. Measured one-restart gating graphs and the
-# chunks they give:
+# Jobs of a family that stacks, fitted together, hold at most this many
+# float64 node values in their stacked training graph (about 940 KiB),
+# estimated as R times the one-job graph. Stacking pays while a step is
+# dominated by per-node dispatch. On a 2-vCPU VM with one BLAS thread, a
+# 60-epoch MLP gating fit at pipeline sizes cost 88 / 41 / 35 / 25 / 25 /
+# 25 / 32 ms per restart in stacks of 1 / 3 / 4 / 8 / 9 / 12 / 16 (median
+# of 5 interleaved rounds), and a stack of 9 raised a fit process's peak
+# memory by at most 0.4 MB, one of 16 by 1.1 MB. Seqconv gating graphs
+# stay one job per chunk: 4 stacked restarts once took 1.35-1.49 ms per
+# restart-step against 1.34-1.37 ms alone, and 2.4 MB more peak memory.
+# Measured one-job gating graphs and the chunks they give:
 #
-#   graph                                  B    values   8 restarts  3
-#   MLP gating (d=14, hidden 16)         100    13,117   4+4         3
-#   seqconv gating (d=6, T=12, hidden 8)  90    62,285   1 each      1 each
-CHUNK_VALUES = 2 ** 16
+#   graph                                  B    values   8       15     20
+#   MLP gating (d=14, hidden 16)         100    13,118   8       8+7    7+7+6
+#   seqconv gating (d=6, T=12, hidden 8)  90    62,286   1 each  1 each 1 each
+#
+# (8 restarts; 15 refits of 5 sanity instances of 3 restarts; the lambda
+# grid's 20 points.)
+CHUNK_VALUES = 120_000
 
 
 def restart_chunks(restarts: int, values_per_restart: int) -> list[list[int]]:
@@ -219,62 +235,84 @@ def _init_restart(tspec: tf.TransformSpec, dataset: Dataset,
     return transform, run
 
 
-def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
-                  config: MindConfig, restarts: list[int]) -> list[tuple]:
-    """Fit the listed restarts as one stacked problem.
+class Job(NamedTuple):
+    """One fit of a job list: restart `restart` of a transform whose
+    config has penalty weight `lam` and seed `seed`, in front of the frozen
+    `model`."""
+    model: Model
+    lam: float
+    seed: int
+    restart: int
 
-    Returns (restart, transform, MindDiagnostics, None) for each restart
-    that succeeded and (restart, None, None, error message) for each that
-    failed, in the order given. A restart fails alone when its loss turns
-    non-finite; the others go on. Each returned transform holds the
-    parameters of its restart's epoch with the lowest validation
-    objective, its gates clamped to [0, 1] after every step along the way.
+
+def _fit_chunk(tspec: tf.TransformSpec, dataset: Dataset, config: MindConfig,
+               chunk: list[tuple]) -> list[tuple]:
+    """Fit a chunk of jobs as one stacked problem.
+
+    `chunk` lists (job, train predictions, validation predictions), the
+    predictions those of the job's frozen model. Returns (job, transform,
+    MindDiagnostics, None) for each job that succeeded and (job, None,
+    None, error message) for each that failed, in the order given. A job
+    fails alone when its loss turns non-finite; the others go on. Each
+    returned transform holds the parameters of its job's epoch with the
+    lowest validation objective, its gates clamped to [0, 1] after every
+    step along the way.
     """
-    if model.output not in OUTPUT_KINDS:  # w1_mean needs W1: fail early
-        raise GraphError(f"unsupported output distribution {model.output!r}")
     Xtr, _ = dataset.split("train")
     Xva, _ = dataset.split("validation")
-    R = len(restarts)
-    transforms, runs = zip(*(_init_restart(tspec, dataset, config, r)
-                             for r in restarts))
+    jobs = [job for job, _, _ in chunk]
+    R = len(jobs)
+    transforms, runs = zip(*(
+        _init_restart(tspec, dataset, replace(config, lam=j.lam, seed=j.seed),
+                      j.restart) for j in jobs))
     template = transforms[0]
     flat, params = flat_params({k: np.stack([t.params[k] for t in transforms])
                                 for k in template.params})
-    graph_for = dc.graphs(lambda B: _loss(model, template, config, params, B))
+    model = jobs[0].model
+    frozen = None if all(j.model is model for j in jobs) else {
+        k: dc.constant(np.stack([j.model.params[k] for j in jobs]))
+        for k in model.params}
+    lam = np.array([j.lam for j in jobs])
+    graph_for = dc.graphs(
+        lambda B: _loss(model, template, config, params, B, lam, frozen))
 
-    train_rows = {"x": Xtr, "fc": predict(model, Xtr), **template.extra(Xtr)}
-    fc_va = predict(model, Xva)
-    val_rows = {"x": Xva, "fc": fc_va, **template.extra(Xva)}
+    fc_train = np.stack([fc for _, fc, _ in chunk])  # (R, n_train)
+    fc_val = [fc for _, _, fc in chunk]
+    train_rows = {"x": Xtr, **template.extra(Xtr)}
+    val_rows = {"x": Xva, **template.extra(Xva)}
     # the fit's sweeps skip the finiteness check, so every array is checked
-    # once here, but for the x rows, which predict checked
+    # once here, but for the x rows, which predict checked, and the
+    # predictions, which fit_jobs checked
     for arrays in (params, train_rows, val_rows):
         for k, v in arrays.items():
             if k != "x":
                 dc.tensor(v)
-    # every restart is validated on the whole validation split
-    val_binds = {**params, **{k: np.concatenate([v] * R)
-                              for k, v in val_rows.items()}}
+    # every job is validated on the whole validation split
+    val_binds = {**params, "fc": np.concatenate(fc_val),
+                 **{k: np.concatenate([v] * R) for k, v in val_rows.items()}}
     decay = config.weight_decay * flat_params(  # a rate per column
         {k: np.full(v[:1].shape, k in template.decay_keys())
          for k, v in params.items()})[0][0]
     opt = Adam(flat, decay if decay.any() else None)
     grad, grad_views = flat_params(params)  # laid out as the parameters
     seed = np.ones(R)  # the gradients of the sum of the R losses
+    lanes = np.arange(R)[:, None]
     gate_key = template.gate_key
     gate_min, gate_max = np.full(R, np.inf), np.full(R, -np.inf)
 
     def loss_and_grad(idx):
         rows = idx.ravel()
         losses, grads = graph_for(idx.shape[1]).value_and_grad(
-            {**params, **{k: v[rows] for k, v in train_rows.items()}},
+            {**params, "fc": fc_train[lanes, idx].ravel(),
+             **{k: v[rows] for k, v in train_rows.items()}},
             wrt=params, seed=seed, check=False)
         for k, g in grads.items():
             np.copyto(grad_views[k], g)
         return losses, grad
 
     def after_step():
-        # a finished restart's gates were clamped when it was last stepped,
-        # so clamping and tracking them again changes nothing
+        # a finished job's gates were clamped when it was last stepped, so
+        # clamping and tracking them again changes nothing
         gates = params[gate_key]
         np.copyto(gates, tf.clip01(gates))
         per_restart = gates.reshape(R, -1)
@@ -291,26 +329,113 @@ def _fit_restarts(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
 
     seq = dataset.seq_len is not None
     outcomes = []
-    for i, (r, transform, run) in enumerate(zip(restarts, transforms, runs)):
+    for i, (job, transform, run) in enumerate(zip(jobs, transforms, runs)):
         if run.error is not None:
-            outcomes.append((r, None, None, run.error))
+            outcomes.append((job, None, None, run.error))
             continue
         for k, v in transform.params.items():
             np.copyto(v, params[k][i])
         Xp_va = tf.apply_transform(transform, Xva, seq=seq)
         history = run.history
         diag = MindDiagnostics(
-            restart=r, epochs=len(history["val_loss"]),
+            restart=job.restart, epochs=len(history["val_loss"]),
             train_curve=history["train_loss"],
             val_curve=history["val_loss"], lr_curve=history["lr"],
             val_loss=min(history["val_loss"]),
-            w1_mean=float(np.mean(np.abs(fc_va - predict(model, Xp_va)))),
+            w1_mean=float(np.mean(np.abs(
+                fc_val[i] - predict(job.model, Xp_va)))),
             cosine_mean=float(np.mean(dc.row_cosines(Xva, Xp_va))),
             rho=analysis.correlation_profile(Xva, Xp_va),
             gate_min=float(gate_min[i]) if gate_key else float("nan"),
             gate_max=float(gate_max[i]) if gate_key else float("nan"),
             stop_reason=run.stop_reason)
-        outcomes.append((r, transform, diag, None))
+        outcomes.append((job, transform, diag, None))
+    return outcomes
+
+
+def _values_per_restart(model: Model, tspec: tf.TransformSpec,
+                        dataset: Dataset, config: MindConfig) -> int:
+    """Node values of the one-restart training graph at the fit's batch
+    size; the initial parameter values do not matter, only their shapes."""
+    t = tf.init_transform(tspec, dataset.d, dataset.seq_len,
+                          np.random.default_rng(0))
+    n_train = len(dataset.split("train")[0])
+    graph = dc.Graph(_loss(model, t, config, _unstacked(t),
+                           _batch_size(config, n_train)))
+    return sum(math.prod(node.shape) for node in graph.nodes)
+
+
+def _chunks(tspec: tf.TransformSpec, dataset: Dataset, config: MindConfig,
+            jobs: list[Job]) -> list[list[int]]:
+    """The job indices of the chunks `fit_jobs` fits: one job each unless
+    the family stacks, else `restart_chunks` of the one-job graph. Jobs of
+    different models share a chunk only where the forward graph stacks
+    models (linear and MLP); a seqconv model's jobs are chunked apart."""
+    if not tf.TRANSFORMS[tspec.kind].stacks:
+        return [[i] for i in range(len(jobs))]
+    model = jobs[0].model
+    values = _values_per_restart(model, tspec, dataset, replace(
+        config, lam=max(j.lam for j in jobs)))  # any penalty adds its nodes
+    cuts = [0, *(i for i in range(1, len(jobs)) if model.kind == "seqconv"
+                 and jobs[i].model is not jobs[i - 1].model), len(jobs)]
+    return [[a + i for i in chunk] for a, b in zip(cuts, cuts[1:])
+            for chunk in restart_chunks(b - a, values)]
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The pool `fit_jobs` fits chunks in with `threads` > 1; imported on
+    first use, because loading it costs every CLI process about 60 ms."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+    return Pool(max_workers=max_workers)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fit_jobs(tspec: tf.TransformSpec, dataset: Dataset, config: MindConfig,
+             jobs: list[Job], threads: int = 1, stop=None) -> list[tuple]:
+    """Fit every job of one transform family; `config` sets everything but
+    each job's model, penalty weight, seed and restart.
+
+    The jobs are fitted in consecutive chunks (`_chunks`), each chunk as
+    one stacked problem, and the frozen predictions are computed once per
+    model. With `threads` > 1 one process pool fits the chunks side by
+    side, with as many workers as `threads`, the chunk count and the CPUs
+    this process may use all allow. Returns what `_fit_chunk` returns for
+    each job, in job order. With `stop`, fitting ends after the first
+    chunk whose outcomes `stop` holds true for, and only the jobs fitted
+    so far are returned (a pool fits the rest in vain).
+    """
+    if threads < 1:
+        raise TrainingError(f"threads must be at least 1, got {threads}")
+    for job in jobs:  # w1_mean needs W1: fail early
+        if job.model.output not in OUTPUT_KINDS:
+            raise GraphError(
+                f"unsupported output distribution {job.model.output!r}")
+    preds = {}  # each model's train and validation predictions
+    for job in jobs:
+        if id(job.model) not in preds:
+            preds[id(job.model)] = [
+                dc.tensor(predict(job.model, dataset.split(s)[0]))
+                for s in ("train", "validation")]
+    chunks = [[(jobs[i], *preds[id(jobs[i].model)]) for i in chunk]
+              for chunk in _chunks(tspec, dataset, config, jobs)]
+    fit_chunk = functools.partial(_fit_chunk, tspec, dataset, config)
+    workers = min(threads, len(chunks), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(fit_chunk, chunks))
+    else:
+        parts = map(fit_chunk, chunks)  # lazily, so that `stop` saves fits
+    outcomes = []
+    for part in parts:
+        outcomes += part
+        if stop is not None and stop(part):
+            break
     return outcomes
 
 
@@ -322,8 +447,8 @@ def train_transform(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     The transform whose validation objective was lowest across epochs is
     returned, with gates clamped to [0, 1] after every step along the way.
     """
-    [(_, transform, diag, error)] = _fit_restarts(model, tspec, dataset,
-                                                  config, [restart])
+    [(_, transform, diag, error)] = fit_jobs(
+        tspec, dataset, config, [Job(model, config.lam, config.seed, restart)])
     if error is not None:
         raise TrainingError(error)
     return transform, diag
@@ -358,27 +483,34 @@ def tune_lambda(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
     """Smallest grid lambda whose fitted transform keeps the validation W1
     within w1_limit and the validation cosine within cosine_limit.
 
-    If no grid point satisfies both, the least-violating point is returned
-    with feasible=False. A grid point whose fit raises TrainingError is
+    Every grid point is fitted from restart 0's streams, the points as one
+    job list in grid order, which stops after the first chunk that holds a
+    feasible point. If no grid point satisfies both, the least-violating
+    point is returned with feasible=False. A grid point whose fit fails is
     traced as infeasible with its error; only if every point fails does
     the sweep raise.
     """
     grid = sorted(grid) if grid else lambda_grid()
+
+    def feasible(diag) -> bool:
+        return diag is not None and diag.w1_mean <= config.w1_limit \
+            and diag.cosine_mean <= config.cosine_limit
+
+    outcomes = fit_jobs(
+        tspec, dataset, config,
+        [Job(model, lam, config.seed, 0) for lam in grid],
+        stop=lambda part: any(feasible(diag) for _, _, diag, _ in part))
     trace: list[dict] = []
     best = None
     best_violation = np.inf
-    for lam in grid:
-        cfg = replace(config, lam=lam)
-        try:
-            transform, diag = train_transform(model, tspec, dataset, cfg,
-                                              restart=0)
-        except TrainingError as exc:
+    for job, transform, diag, error in outcomes:
+        lam = job.lam
+        if error is not None:
             trace.append({"lambda": lam, "w1": None, "cosine": None,
                           "val_loss": None, "feasible": False,
-                          "error": str(exc)})
+                          "error": error})
             continue
-        ok = (diag.w1_mean <= config.w1_limit
-              and diag.cosine_mean <= config.cosine_limit)
+        ok = feasible(diag)
         trace.append({"lambda": lam, "w1": diag.w1_mean,
                       "cosine": diag.cosine_mean, "val_loss": diag.val_loss,
                       "feasible": ok})
@@ -441,62 +573,25 @@ def _defined_mean_std(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return mean, np.sqrt((dev * dev).sum(axis=0) / n)
 
 
-def _values_per_restart(model: Model, tspec: tf.TransformSpec,
-                        dataset: Dataset, config: MindConfig) -> int:
-    """Node values of the one-restart training graph at the fit's batch
-    size; the initial parameter values do not matter, only their shapes."""
-    t = tf.init_transform(tspec, dataset.d, dataset.seq_len,
-                          np.random.default_rng(0))
-    n_train = len(dataset.split("train")[0])
-    graph = dc.Graph(_loss(model, t, config, _unstacked(t),
-                           _batch_size(config, n_train)))
-    return sum(math.prod(node.shape) for node in graph.nodes)
+def restart_jobs(model: Model, config: MindConfig) -> list[Job]:
+    """The config's restarts against `model`, as jobs."""
+    return [Job(model, config.lam, config.seed, r)
+            for r in range(config.restarts)]
 
 
-def _chunks(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
-            config: MindConfig) -> list[list[int]]:
-    """The chunks `multi_restart` fits: one restart each unless the family
-    stacks, else `restart_chunks` of its one-restart graph."""
-    if not tf.TRANSFORMS[tspec.kind].stacks:
-        return [[r] for r in range(config.restarts)]
-    return restart_chunks(config.restarts, _values_per_restart(
-        model, tspec, dataset, config))
+def top_k_result(config: MindConfig, outcomes: list[tuple]) -> MindResult:
+    """The top_k of one config's restarts by validation loss, from their
+    `fit_jobs` outcomes; TrainingError if fewer than top_k succeeded.
 
-
-def ProcessPoolExecutor(max_workers: int):
-    """The pool `multi_restart` fits chunks in with `threads` > 1; imported
-    on first use, because loading it costs every CLI process about 60 ms."""
-    from concurrent.futures import ProcessPoolExecutor as Pool
-    return Pool(max_workers=max_workers)
-
-
-def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
-                  config: MindConfig, threads: int = 1) -> MindResult:
-    """R independently seeded fits; aggregate the top_k by validation loss.
-
-    The restarts are fitted in chunks (`_chunks`), each chunk as one
-    stacked problem; with `threads` > 1 a process pool of up to that many
-    workers fits the chunks side by side. Scores are the gates for gated
-    families and the per-feature correlation profile for the residual
-    family. Mean and std are over the selected runs (population std, so a
-    single selected run reports zero spread); a correlation's leave out the
-    runs where it is undefined (NaN), which `rho_undefined` counts.
+    Scores are the gates for gated families and the per-feature
+    correlation profile for the residual family. Mean and std are over the
+    selected runs (population std, so a single selected run reports zero
+    spread); a correlation's leave out the runs where it is undefined
+    (NaN), which `rho_undefined` counts.
     """
-    if threads < 1:
-        raise TrainingError(f"threads must be at least 1, got {threads}")
-    chunks = _chunks(model, tspec, dataset, config)
-    fit_chunk = functools.partial(_fit_restarts, model, tspec, dataset,
-                                  config)
-    workers = min(threads, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fit_chunk, chunks))
-    else:
-        parts = [fit_chunk(chunk) for chunk in chunks]
-    outcomes = [o for part in parts for o in part]
-
-    runs = [(r, t, d) for r, t, d, _ in outcomes if t is not None]
-    failures = [(r, err) for r, t, _, err in outcomes if t is None]
+    runs = [(job.restart, t, d) for job, t, d, _ in outcomes if t is not None]
+    failures = [(job.restart, err) for job, t, _, err in outcomes
+                if t is None]
     if len(runs) < config.top_k:
         raise TrainingError(
             f"only {len(runs)} of {config.restarts} restarts succeeded; "
@@ -519,3 +614,13 @@ def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
         diagnostics=[d for _, _, d in runs],
         transforms=[t for _, t, _ in top],
         lam=config.lam, failure_reasons=[err for _, err in failures])
+
+
+def multi_restart(model: Model, tspec: tf.TransformSpec, dataset: Dataset,
+                  config: MindConfig, threads: int = 1) -> MindResult:
+    """R independently seeded fits; aggregate the top_k by validation loss
+    (`top_k_result`). The restarts are one job list (`fit_jobs`), fitted
+    in stacked chunks, side by side in a pool of up to `threads` workers.
+    """
+    return top_k_result(config, fit_jobs(
+        tspec, dataset, config, restart_jobs(model, config), threads))

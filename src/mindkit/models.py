@@ -137,17 +137,26 @@ def param_nodes(model: Model) -> dict[str, dc.Node]:
 
 def forward_graph(model: Model, x: dc.Node, params: dict[str, dc.Node],
                   *, logits: bool = False) -> dc.Node:
-    """Model output node for a batched input leaf; (B, d) or (B, d, T)."""
+    """Model output node for a batched input leaf; (B, d) or (B, d, T).
+
+    Linear and MLP parameters may carry a leading axis of J models, each
+    weight (J, m, n) and each bias (J, n): x then stacks J batches of equal
+    size, model j's rows in block j, and the output stacks the same way.
+    """
     B = x.shape[0]
-    if model.kind == "linear":
-        out = dc.reshape(dc.matmul(x, params["w"]), (B,))
-    elif model.kind == "mlp":
-        h = x
-        n_layers = len(model.hidden) + 1
-        for i in range(n_layers):
-            h = dc.add(dc.matmul(h, params[f"w{i}"]), params[f"b{i}"])
-            if i < n_layers - 1:
-                h = dc.relu(h)
+    if model.kind in ("linear", "mlp"):
+        layers = model.layer_names()
+        stack = params[layers[0]].shape[:-2]  # () or (J,)
+        h = dc.reshape(x, stack + (B // stack[0], x.shape[1])) if stack \
+            else x
+        for i, name in enumerate(layers):
+            h = dc.matmul(h, params[name])
+            if model.kind == "mlp":
+                b = params[f"b{i}"]
+                h = dc.add(h, dc.reshape(b, stack + (1,) + b.shape[-1:])
+                           if stack else b)
+                if i < len(layers) - 1:
+                    h = dc.relu(h)
         out = dc.reshape(h, (B,))
     else:
         h = x

@@ -415,6 +415,16 @@ class FakeResult:
         return self._scores
 
 
+def fake_refits(monkeypatch, result):
+    """Skip the refits: each instance's top-k result is `result(model)`,
+    for the model that its jobs face."""
+    monkeypatch.setattr(
+        mt, "fit_jobs", lambda tspec, dataset, config, jobs, threads=1:
+            [(job, None, None, "not fitted") for job in jobs])
+    monkeypatch.setattr(mt, "top_k_result",
+                        lambda config, outcomes: result(outcomes[0][0].model))
+
+
 class TestSanityHarness:
     def test_outcome_statistics(self):
         out = SanityOutcome("w", [1.0, 0.5], 4, 0)
@@ -442,10 +452,7 @@ class TestSanityHarness:
         scores = [rng.normal(size=6), np.round(rng.normal(size=6)),
                   np.ones(6), ref, -ref, ref + 0.1 * rng.normal(size=6)]
         it = iter(scores)
-        monkeypatch.setattr(
-            mt, "multi_restart",
-            lambda model, tspec, dataset, config, threads=1:
-                FakeResult(next(it)))
+        fake_refits(monkeypatch, lambda model: FakeResult(next(it)))
         out = restart_baseline(m, TransformSpec("gating"), ds,
                                MindConfig(restarts=3, top_k=3), ref,
                                instances=len(scores), seed=0)
@@ -460,10 +467,8 @@ class TestSanityHarness:
 
     def test_shuffled_scores_tracked_per_layer(self, monkeypatch):
         m, ds = tiny_problem()
-        monkeypatch.setattr(
-            mt, "multi_restart",
-            lambda model, tspec, dataset, config, threads=1:
-                FakeResult(np.abs(model.params["w"]).ravel()))
+        fake_refits(monkeypatch,
+                    lambda model: FakeResult(np.abs(model.params["w"]).ravel()))
         ref = np.abs(m.params["w"]).ravel()
         outs = sanity_check(m, TransformSpec("gating"), ds,
                             MindConfig(restarts=3, top_k=3), ref,
@@ -475,9 +480,9 @@ class TestSanityHarness:
 
     def test_failed_fits_counted_not_fatal(self, monkeypatch):
         m, ds = tiny_problem()
-        def boom(model, tspec, dataset, config, threads=1):
+        def boom(model):
             raise TrainingError("synthetic failure")
-        monkeypatch.setattr(mt, "multi_restart", boom)
+        fake_refits(monkeypatch, boom)
         outs = sanity_check(m, TransformSpec("gating"), ds,
                             MindConfig(restarts=3, top_k=3),
                             np.ones(4), shuffles=2, seed=0)
@@ -498,10 +503,8 @@ class TestSanityHarness:
     def test_baseline_on_intact_model_is_perfectly_ranked(self, monkeypatch):
         m, ds = tiny_problem()
         ref = np.abs(m.params["w"]).ravel()
-        monkeypatch.setattr(
-            mt, "multi_restart",
-            lambda model, tspec, dataset, config, threads=1:
-                FakeResult(np.abs(model.params["w"]).ravel()))
+        fake_refits(monkeypatch,
+                    lambda model: FakeResult(np.abs(model.params["w"]).ravel()))
         out = restart_baseline(m, TransformSpec("gating"), ds,
                                MindConfig(restarts=3, top_k=3), ref,
                                instances=3, seed=0)

@@ -719,7 +719,7 @@ def test_kernel_size_below_one_is_a_usage_error(pipeline, tmp_path, capsys,
 # Seeded fuzz over malformed CLI inputs, in the style of acceptance
 # criterion 01: a fixed seed draws bad elements into list-valued config
 # fields, wrongly typed config values, and bad --hidden / --beta lists. The
-# first two cases are fixed reproductions of defects this test guards.
+# first five cases are fixed reproductions of defects this test guards.
 FUZZ_SEED = 20261018
 FUZZ_CASES = 48
 
@@ -759,6 +759,11 @@ def _draw_malformed(rng, root):
     yield gen_data({"n": 40, "d": 3, "split_fracs": ["a", 0.2, 0.1]}, "r")
     yield ["train-model", "--data", str(root / "data.csv"), "--hidden",
            "4,x", "--out", str(root / "o")], "train-model"
+    # oversized specs, refused before anything is allocated
+    for i, size in enumerate(({"n": 10 ** 18, "d": 4},
+                              {"n": 100, "d": 10 ** 15},
+                              {"n": 100, "d": 4, "seq_len": 10 ** 14})):
+        yield gen_data(size, f"big{i}")
     configs = {"gen-data": SyntheticSpec, "train-model": TrainConfig,
                "train-transform": MindConfig}
     for i in range(FUZZ_CASES):
@@ -966,12 +971,13 @@ class TestTuneLambda:
 
     def test_failed_grid_point_is_traced(self, pipeline, tmp_path, capsys,
                                          monkeypatch):
-        real = mt.train_transform
-        def fails_at_first_lambda(model, tspec, dataset, config, *, restart=0):
+        real = mt._init_restart
+        def fails_at_first_lambda(tspec, dataset, config, restart):
+            transform, run = real(tspec, dataset, config, restart)
             if config.lam == mt.LAMBDA_GRID_LO:
-                raise TrainingError("synthetic failure")
-            return real(model, tspec, dataset, config, restart=restart)
-        monkeypatch.setattr(mt, "train_transform", fails_at_first_lambda)
+                run.error = "synthetic failure"
+            return transform, run
+        monkeypatch.setattr(mt, "_init_restart", fails_at_first_lambda)
         cfg = tmp_path / "mind.json"
         cfg.write_text(json.dumps({"similarity": "inner_product",
                                    "max_epochs": 4}))

@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from mindkit.data import (Dataset, SyntheticSpec, from_arrays,
-                          generate_synthetic, load_dataset, save_dataset,
-                          substream)
+from mindkit.data import (MAX_SYNTHETIC_VALUES, Dataset, SyntheticSpec,
+                          from_arrays, generate_synthetic, load_dataset,
+                          save_dataset, substream)
 from mindkit.errors import DataError
 
 
@@ -329,3 +329,16 @@ class TestSyntheticGenerator:
             small_dataset(d=3, duplicates=((0, 7),))
         with pytest.raises(DataError):
             small_dataset(d=3, duplicates=((1, 1),))
+
+    def test_size_limit_counts_every_feature_value(self):
+        # validation allocates nothing, so specs at the limit are cheap
+        limit = MAX_SYNTHETIC_VALUES
+        SyntheticSpec(n=limit // 1000, d=1000).validate()
+        SyntheticSpec(n=limit // 100, d=5, seq_len=20).validate()
+        SyntheticSpec(n=limit // 5, d=3, missing=(0, 1)).validate()
+        for spec in (SyntheticSpec(n=limit // 1000 + 1, d=1000),
+                     SyntheticSpec(n=limit // 100, d=5, seq_len=21),
+                     SyntheticSpec(n=limit // 5, d=3, missing=(0, 1, 2)),
+                     SyntheticSpec(n=10 ** 18, d=4)):
+            with pytest.raises(DataError, match="exceed the limit"):
+                generate_synthetic(spec)

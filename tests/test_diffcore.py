@@ -128,16 +128,22 @@ class TestGradientValues:
         np.testing.assert_array_equal(grads["g"], [1.0, 2.0, 3.0])
 
     def test_two_layer_net_finite_differences(self):
+        self._two_layer_net_matches_finite_differences(())
+
+    def test_stacked_two_layer_nets_finite_differences(self):
+        # two nets whose weights share a leading axis
+        self._two_layer_net_matches_finite_differences((2,))
+
+    @staticmethod
+    def _two_layer_net_matches_finite_differences(stack):
         rng = np.random.default_rng(17)
-        x = dc.leaf("x", (5, 3))
-        w0 = dc.leaf("w0", (3, 4))
-        w1 = dc.leaf("w1", (4, 1))
+        shapes = {"x": stack + (5, 3), "w0": stack + (3, 4),
+                  "w1": stack + (4, 1)}
+        x, w0, w1 = (dc.leaf(k, v) for k, v in shapes.items())
         h = dc.relu(dc.matmul(x, w0))
         out = dc.mean(dc.sigmoid(dc.matmul(h, w1)))
         graph = dc.Graph(out)
-        binds = {"x": rng.normal(size=(5, 3)),
-                 "w0": rng.normal(size=(3, 4)),
-                 "w1": rng.normal(size=(4, 1))}
+        binds = {k: rng.normal(size=v) for k, v in shapes.items()}
         assert_grads_match(graph, binds, ["x", "w0", "w1"])
 
     def test_scalar_gelu_gradient(self):
@@ -804,6 +810,7 @@ READ_OPS = {
     "sub": (dc.sub, (3, 4, 7), (4, 1)),
     "mul": (dc.mul, (3, 4, 7), (4, 1)),
     "matmul": (dc.matmul, (3, 5), (5, 2)),
+    "matmul stacked": (dc.matmul, (2, 3, 5), (2, 5, 2)),
     "dot_rows": (dc.dot_rows, (3, 4, 7), (3, 4, 7)),
     "cosine_rows": (dc.cosine_rows, (3, 4, 7), (3, 4, 7)),
     "mean axis": (lambda x: dc.mean(x, axis=1), (3, 4, 7)),
@@ -1023,10 +1030,11 @@ class TestValidation:
             g.evaluate({"x": np.ones(2)})
 
     def test_shape_mismatch_rejected_at_build(self):
-        a = dc.leaf("a", (2, 3))
-        b = dc.leaf("b", (4, 5))
-        with pytest.raises(GraphError):
-            dc.matmul(a, b)
+        for a, b in (((2, 3), (4, 5)), ((2, 2, 3), (2, 4, 5)),
+                     ((2, 2, 3), (3, 3, 5)), ((2, 2, 3), (3, 5)),
+                     ((2, 2, 2, 3), (2, 2, 3, 5))):
+            with pytest.raises(GraphError):
+                dc.matmul(dc.leaf("a", a), dc.leaf("b", b))
 
     def test_shape_mismatch_rejected_at_bind(self):
         x = dc.leaf("x", (2,))

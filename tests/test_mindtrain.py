@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import mindkit.analysis as analysis
 import mindkit.diffcore as dc
 import mindkit.mindtrain as mt
 from mindkit.analysis import (ClosedFormInputs, closed_form_gating,
-                              second_moment, weak_invariance_lambda)
-from mindkit.data import from_arrays
+                              restart_baseline, sanity_check, second_moment,
+                              spearman_rho, weak_invariance_lambda)
+from mindkit.data import from_arrays, substream
 from mindkit.errors import GraphError, TrainingError
 from mindkit.mindtrain import (MindConfig, MindResult, lambda_grid, mind_loss,
                                multi_restart, train_transform, tune_lambda,
                                w1_reduced)
-from mindkit.models import Model, build_model
+from mindkit.models import Model, build_model, shuffle_layer
 from mindkit.transforms import (GatingTransform, TransformSpec,
                                 init_transform, make_basis)
 
@@ -285,9 +287,9 @@ class TestTrainTransform:
         seen = {}
         real_loss, real_fit = mt._loss, mt.fit_stack
 
-        def loss(model, transform, config, params, B):
+        def loss(model, transform, config, params, B, *rest):
             seen["params"] = params  # the last one built is the fit's
-            return real_loss(model, transform, config, params, B)
+            return real_loss(model, transform, config, params, B, *rest)
 
         def fit_stack(params, *args):
             seen["flat"] = params
@@ -508,13 +510,13 @@ class TestTuneLambda:
         assert res.lam == 1e-4
 
     def test_failed_grid_point_is_recorded_not_fatal(self, monkeypatch):
-        real = mt.train_transform
-        def fails_at_small_lambda(model, tspec, dataset, config, *,
-                                  restart=0):
+        real = mt._init_restart
+        def fails_at_small_lambda(tspec, dataset, config, restart):
+            transform, run = real(tspec, dataset, config, restart)
             if config.lam == 1e-4:
-                raise TrainingError("synthetic failure")
-            return real(model, tspec, dataset, config, restart=restart)
-        monkeypatch.setattr(mt, "train_transform", fails_at_small_lambda)
+                run.error = "synthetic failure"
+            return transform, run
+        monkeypatch.setattr(mt, "_init_restart", fails_at_small_lambda)
         ds = classifier_dataset(seed=0)
         m = build_model("mlp", 3, hidden=(8,), output="probability", seed=0)
         m.params["w1"][:] = 0.0
@@ -529,9 +531,12 @@ class TestTuneLambda:
         assert len(res.trace) == 2
 
     def test_every_grid_point_failing_is_an_error(self, monkeypatch):
-        def always_fail(model, tspec, dataset, config, *, restart=0):
-            raise TrainingError("synthetic failure")
-        monkeypatch.setattr(mt, "train_transform", always_fail)
+        real = mt._init_restart
+        def always_fail(tspec, dataset, config, restart):
+            transform, run = real(tspec, dataset, config, restart)
+            run.error = "synthetic failure"
+            return transform, run
+        monkeypatch.setattr(mt, "_init_restart", always_fail)
         ds = classifier_dataset(seed=0)
         m = build_model("mlp", 3, output="probability", seed=0)
         with pytest.raises(TrainingError, match="every one of 2 lambda"):
@@ -796,7 +801,8 @@ class TestStackedRestarts:
                          seed=9)
         spec = TransformSpec("gating")
         # the budget lets this graph stack
-        assert mt._chunks(m, spec, ds, cfg) == [[0, 1, 2]]
+        assert mt._chunks(spec, ds, cfg, mt.restart_jobs(m, cfg)) == \
+            [[0, 1, 2]]
         stacked = multi_restart(m, spec, ds, cfg)
         self._chunks_of_one(monkeypatch)
         single = multi_restart(m, spec, ds, cfg)
@@ -817,13 +823,19 @@ class TestStackedRestarts:
             np.testing.assert_allclose(a.train_curve, b.train_curve,
                                        rtol=self.TOL)
 
+    # the one-job graphs of these sizes hold one value more since the
+    # penalty weights became an (R,) constant
     @pytest.mark.parametrize("restarts,values,sizes", [
-        (8, 13_117, [4, 4]),     # MLP gating, d=14, hidden 16, B=100
+        (8, 13_117, [8]),        # MLP gating, d=14, hidden 16, B=100
         (3, 13_117, [3]),        # the same graph in a sanity refit
         (8, 62_285, [1] * 8),    # seqconv gating, d=6, T=12, B=90
         (8, 75_305, [1] * 8),    # graphs of seqconv basis gating's and
         (8, 202_709, [1] * 8),   # the residual net's size
         (3, 62_285, [1] * 3),
+        (20, 13_118, [7, 7, 6]),  # MLP gating's whole lambda grid
+        (15, 13_118, [8, 7]),    # its 5 baseline instances' refits
+        (30, 13_118, [8, 8, 7, 7]),  # and its 10 shuffled instances'
+        (30, 62_286, [1] * 30),  # seqconv gating's 10 shuffled instances'
     ])
     def test_chunk_sizes_for_the_measured_graphs(self, restarts, values,
                                                  sizes):
@@ -831,7 +843,7 @@ class TestStackedRestarts:
         assert [len(c) for c in chunks] == sizes
         assert [r for c in chunks for r in c] == list(range(restarts))
 
-    def test_pipeline_mlp_graph_runs_as_4_plus_4(self):
+    def test_pipeline_mlp_graph_runs_as_one_chunk_of_8(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((900, 14))
         ds = from_arrays(X, (X[:, 2] > 0).astype(float),
@@ -840,12 +852,88 @@ class TestStackedRestarts:
         m = build_model("mlp", 14, hidden=(16,), output="probability")
         cfg = MindConfig(similarity="inner_product", seed=1)
         values = mt._values_per_restart(m, TransformSpec("gating"), ds, cfg)
-        assert values == 13_117
-        for restarts, sizes in ((8, [4, 4]), (3, [3]), (1, [1])):
-            chunks = mt._chunks(m, TransformSpec("gating"), ds,
-                                MindConfig(similarity="inner_product", seed=1,
-                                           restarts=restarts, top_k=1))
+        assert values == 13_118
+        for restarts, sizes in ((8, [8]), (3, [3]), (1, [1])):
+            cfg = MindConfig(similarity="inner_product", seed=1,
+                             restarts=restarts, top_k=1)
+            chunks = mt._chunks(TransformSpec("gating"), ds, cfg,
+                                mt.restart_jobs(m, cfg))
             assert [len(c) for c in chunks] == sizes
+        # the sanity check's 10 shuffled models share 4 chunks, and the
+        # lambda grid's 20 points fill 3
+        shuffled = [mt.Job(shuffle_layer(m, i % 2, np.random.default_rng(i)),
+                           0.1, 1, r) for i in range(10) for r in range(3)]
+        grid = [mt.Job(m, lam, 1, 0) for lam in lambda_grid()]
+        for jobs, sizes in ((shuffled, [8, 8, 7, 7]), (grid, [7, 7, 6])):
+            assert [len(c) for c in mt._chunks(TransformSpec("gating"), ds,
+                                                cfg, jobs)] == sizes
+
+    # seeds whose sweeps end in the second chunk, the third and in none
+    @pytest.mark.parametrize("seed", [5, 0, 1, 6])
+    def test_stacked_lambda_sweep_matches_one_point_at_a_time(self, seed,
+                                                              monkeypatch):
+        ds = classifier_dataset(seed=seed, d=4)
+        m = build_model("mlp", 4, hidden=(6,), output="probability",
+                        seed=seed)
+        spec = TransformSpec("gating")
+        cfg = MindConfig(similarity="inner_product", max_epochs=20,
+                         seed=seed, cosine_limit=0.9)
+        monkeypatch.setattr(mt, "CHUNK_VALUES", 4 * mt._values_per_restart(
+            m, spec, ds, cfg))  # the grid's 20 points in chunks of 4
+        stacked = tune_lambda(m, spec, ds, cfg)
+        self._chunks_of_one(monkeypatch)
+        single = tune_lambda(m, spec, ds, cfg)
+        assert (stacked.lam, stacked.feasible) == \
+            (single.lam, single.feasible)
+        assert [(p["lambda"], p["feasible"]) for p in stacked.trace] == \
+            [(p["lambda"], p["feasible"]) for p in single.trace]
+        for a, b in zip(stacked.trace, single.trace):
+            for k in ("w1", "cosine", "val_loss"):
+                assert a[k] == pytest.approx(b[k], rel=self.TOL, abs=self.TOL)
+        for k, v in stacked.transform.params.items():
+            np.testing.assert_allclose(v, single.transform.params[k],
+                                       rtol=self.TOL, atol=self.TOL)
+
+    def test_sanity_and_baseline_instances_match_their_own_fits(
+            self, monkeypatch):
+        ds = classifier_dataset(seed=3, d=4)
+        m = build_model("mlp", 4, hidden=(5,), output="probability", seed=3)
+        spec = TransformSpec("gating")
+        cfg = MindConfig(lam=0.05, similarity="inner_product", restarts=5,
+                         top_k=2, max_epochs=15, seed=2)
+        ref = np.arange(4.0)
+        chunks, scores = [], []
+        real_fit = mt._fit_chunk
+
+        def fit_chunk(tspec, dataset, config, chunk):
+            chunks.append(len(chunk))
+            return real_fit(tspec, dataset, config, chunk)
+
+        def spearman(a, b):
+            scores.append(b)
+            return spearman_rho(a, b)
+
+        monkeypatch.setattr(mt, "_fit_chunk", fit_chunk)
+        monkeypatch.setattr(analysis, "spearman_rho", spearman)
+        restart_baseline(m, spec, ds, cfg, ref, instances=3, seed=8)
+        sanity_check(m, spec, ds, cfg, ref, shuffles=2, seed=8)
+        # each list shares one chunk: 3 reseeded instances of the intact
+        # model, then 2 shuffles of each of 2 layers
+        R = analysis.SANITY_RESTARTS
+        assert chunks == [3 * R, 4 * R]
+        own = replace(cfg, restarts=R, top_k=2)
+        fits = [(m, replace(own, seed=int(substream(
+                    8, f"baseline.instance{s}").integers(2 ** 31 - 1))))
+                for s in range(3)]
+        fits += [(shuffle_layer(m, li, substream(
+                    8, f"sanity.{layer}.shuffle{s}")), own)
+                 for li, layer in enumerate(m.layer_names())
+                 for s in range(2)]
+        assert len(scores) == len(fits)
+        for got, (model, config) in zip(scores, fits):
+            want = multi_restart(model, spec, ds, config).feature_scores()
+            np.testing.assert_allclose(got, want, rtol=self.TOL,
+                                       atol=self.TOL)
 
     @pytest.mark.parametrize("spec", [
         TransformSpec("residual"),
@@ -864,8 +952,10 @@ class TestStackedRestarts:
         assert 2 * mt._values_per_restart(m, spec, ds, cfg) <= \
             mt.CHUNK_VALUES
         monkeypatch.setattr(mt, "_values_per_restart", None)  # not sized
-        assert mt._chunks(m, spec, ds, cfg) == [[0], [1]]
-        assert mt._chunks(m, spec, ds, replace(cfg, restarts=8)) == \
+        assert mt._chunks(spec, ds, cfg, mt.restart_jobs(m, cfg)) == \
+            [[0], [1]]
+        cfg = replace(cfg, restarts=8)
+        assert mt._chunks(spec, ds, cfg, mt.restart_jobs(m, cfg)) == \
             [[r] for r in range(8)]
         t = init_transform(spec, 3, 6, rng)
         with pytest.raises(TrainingError, match="do not stack"):
@@ -895,6 +985,8 @@ class TestStackedRestarts:
 
     def test_pool_is_capped_at_the_chunk_count(self, monkeypatch):
         asked = self._recording_pool(monkeypatch)
+        monkeypatch.setattr(mt.os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
         ds = classifier_dataset(seed=4, n=100)
         m = build_model("mlp", 3, output="probability", seed=4)
         cfg = MindConfig(lam=0.3, restarts=3, top_k=2, max_epochs=3, seed=6)
@@ -904,6 +996,31 @@ class TestStackedRestarts:
         multi_restart(m, TransformSpec("gating"), ds, cfg, threads=8)
         multi_restart(m, TransformSpec("gating"), ds, cfg, threads=2)
         assert asked == [3, 2]
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        asked = self._recording_pool(monkeypatch)
+        self._chunks_of_one(monkeypatch)
+        ds = classifier_dataset(seed=4, n=100)
+        m = build_model("mlp", 3, output="probability", seed=4)
+        cfg = MindConfig(lam=0.3, restarts=4, top_k=2, max_epochs=3, seed=6)
+        for cpus in (3, 1):
+            monkeypatch.setattr(mt.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            multi_restart(m, TransformSpec("gating"), ds, cfg, threads=8)
+        assert asked == [3]  # one usable CPU: no pool
+
+    def test_one_pool_for_every_sanity_refit(self, monkeypatch):
+        asked = self._recording_pool(monkeypatch)
+        monkeypatch.setattr(mt.os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        self._chunks_of_one(monkeypatch)
+        ds = classifier_dataset(seed=4, n=100)
+        m = build_model("mlp", 3, output="probability", seed=4)
+        cfg = MindConfig(lam=0.3, restarts=4, top_k=2, max_epochs=2, seed=6)
+        outs = sanity_check(m, TransformSpec("gating"), ds, cfg,
+                            np.arange(3.0), shuffles=2, threads=64)
+        # 2 layers x 2 shuffles x SANITY_RESTARTS one-job chunks
+        assert asked == [12] and [len(o.rhos) for o in outs] == [2, 2]
 
     def test_threads_below_one_rejected(self):
         ds = classifier_dataset(seed=4, n=100)

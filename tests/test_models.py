@@ -10,9 +10,9 @@ from mindkit import diffcore as dc
 from mindkit import optim
 from mindkit.data import from_arrays, substream
 from mindkit.errors import DataError, GraphError, TrainingError
-from mindkit.models import (Model, TrainConfig, build_model, load_model,
-                            predict, save_model, shuffle_layer, train,
-                            _loss, _pgd_perturb)
+from mindkit.models import (Model, TrainConfig, build_model, forward_graph,
+                            load_model, predict, save_model, shuffle_layer,
+                            train, _loss, _pgd_perturb)
 
 
 def blob_dataset(n=300, d=2, seq_len=None, sigma=0.5, mean=1.0, seed=0):
@@ -335,6 +335,56 @@ class TestShuffleLayer:
         s = shuffle_layer(m, 1, np.random.default_rng(0))
         total = lambda mod: sum(v.size for v in mod.params.values())
         assert total(s) == total(m)
+
+
+class TestStackedForward:
+    """forward_graph over J models whose parameters carry a leading axis,
+    as the sanity check's shuffled models share a fit."""
+
+    @pytest.mark.parametrize("kind,hidden", [("linear", ()),
+                                             ("mlp", (5, 3))])
+    def test_gradients_match_per_model_graphs(self, kind, hidden):
+        rng = np.random.default_rng(3)
+        base = build_model(kind, 4, hidden=hidden, output="probability",
+                           seed=3)
+        layers = base.layer_names()
+        models = [shuffle_layer(base, j % len(layers), rng)
+                  for j in range(3)]
+        J, B = len(models), 6
+        X = rng.standard_normal((J * B, 4))
+        seed = rng.normal(size=J * B)
+
+        def weighted_sum(model, rows, params):
+            x = dc.leaf("x", (rows, 4))
+            leaves = {k: dc.leaf(k, v.shape) for k, v in params.items()}
+            out = forward_graph(model, x, leaves)
+            return dc.Graph(dc.dot(out, dc.leaf("seed", (rows,))))
+
+        stacked = {k: np.stack([m.params[k] for m in models])
+                   for k in base.params}
+        value, grads = weighted_sum(base, J * B, stacked).value_and_grad(
+            {"x": X, "seed": seed, **stacked}, wrt=["x", *stacked])
+        total = 0.0
+        for j, m in enumerate(models):
+            rows = slice(j * B, (j + 1) * B)
+            v, want = weighted_sum(m, B, m.params).value_and_grad(
+                {"x": X[rows], "seed": seed[rows], **m.params},
+                wrt=["x", *m.params])
+            total += v
+            np.testing.assert_allclose(grads["x"][rows], want["x"],
+                                       rtol=1e-12, atol=1e-15)
+            for k in m.params:
+                np.testing.assert_allclose(grads[k][j], want[k],
+                                           rtol=1e-12, atol=1e-15, err_msg=k)
+        assert value == pytest.approx(total, rel=1e-12)
+        # the stacked graph's output is each model's prediction
+        out = dc.Graph(forward_graph(base, dc.leaf("x", X.shape),
+                                     {k: dc.constant(v)
+                                      for k, v in stacked.items()}))
+        np.testing.assert_allclose(
+            out.evaluate({"x": X}), np.concatenate(
+                [predict(m, X[j * B:(j + 1) * B])
+                 for j, m in enumerate(models)]), rtol=1e-12, atol=1e-15)
 
 
 class TestCheckpoints:

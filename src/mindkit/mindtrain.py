@@ -189,31 +189,47 @@ def mind_loss(model: Model, transform, X: np.ndarray,
 # training
 # ---------------------------------------------------------------------------
 
-# Jobs of a family that stacks, fitted together, hold at most this many
-# float64 node values in their stacked training graph (about 940 KiB),
-# estimated as R times the one-job graph. Stacking pays while a step is
-# dominated by per-node dispatch. On a 2-vCPU VM with one BLAS thread, a
-# 60-epoch MLP gating fit at pipeline sizes cost 88 / 41 / 35 / 25 / 25 /
-# 25 / 32 ms per restart in stacks of 1 / 3 / 4 / 8 / 9 / 12 / 16 (median
-# of 5 interleaved rounds), and a stack of 9 raised a fit process's peak
-# memory by at most 0.4 MB, one of 16 by 1.1 MB. Seqconv gating graphs
-# stay one job per chunk: 4 stacked restarts once took 1.35-1.49 ms per
-# restart-step against 1.34-1.37 ms alone, and 2.4 MB more peak memory.
+# Jobs of a family that stacks are fitted together in chunks of at most
+# CHUNK_JOBS jobs whose stacked training graph holds at most CHUNK_VALUES
+# float64 node values (about 1.6 MiB), estimated as R times the one-job
+# graph. Stacking pays while a step is dominated by per-node dispatch.
+# Each limit rests on a measurement on a 2-vCPU VM with one BLAS thread:
+# 60-epoch gating fits of R stacked restarts, each in a fresh process.
+#
+# CHUNK_JOBS is where MLP stacking stops paying: at pipeline sizes a fit
+# cost 88 / 41 / 35 / 25 / 25 / 25 / 32 ms per restart at R = 1 / 3 / 4 /
+# 8 / 9 / 12 / 16 (median of 5 interleaved rounds), and R = 9 raised the
+# process's peak memory by at most 0.4 MB, R = 16 by 1.1 MB.
+#
+# CHUNK_VALUES is the memory budget. At the sanity-check benchmark's
+# seqconv sizes (d=6, T=12, hidden 8, 420 training rows) a fit cost:
+#
+#   R                               1      2      3      4      8
+#   ms per restart                291    270    250    207    212
+#   ru_maxrss after the fit (MB)  40.8   40.8   41.3   42.2   45.8
+#   tracemalloc peak (MB)         2.18   2.19   2.96   3.79   7.14
+#
+# (median of 16 interleaved rounds; the quartiles of R = 3, 4 and 8
+# overlap.) Each job past 3 adds about 1 MB, and the budget stops there.
 # Measured one-job gating graphs and the chunks they give:
 #
-#   graph                                  B    values   8       15     20
-#   MLP gating (d=14, hidden 16)         100    13,118   8       8+7    7+7+6
-#   seqconv gating (d=6, T=12, hidden 8)  90    62,286   1 each  1 each 1 each
+#   graph                                  B   values   8      15     30
+#   MLP gating (d=14, hidden 16)         100   13,118   8      8+7    8+8+7+7
+#   seqconv gating (d=6, T=12, hidden 8) 100   69,186   3+3+2  3 x 5  3 x 10
 #
-# (8 restarts; 15 refits of 5 sanity instances of 3 restarts; the lambda
-# grid's 20 points.)
-CHUNK_VALUES = 120_000
+# (8 restarts; the 15 refits of 5 sanity baseline instances of one model;
+# the 30 refits of 10 shuffled models, whose seqconv jobs never share a
+# chunk across models. The MLP lambda grid's 20 points give 7+7+6.)
+CHUNK_JOBS = 9
+CHUNK_VALUES = 210_000
 
 
 def restart_chunks(restarts: int, values_per_restart: int) -> list[list[int]]:
     """Restart indices in consecutive chunks of near-equal size, as few
-    chunks as CHUNK_VALUES allows for graphs of `values_per_restart`."""
-    cap = max(1, CHUNK_VALUES // max(1, values_per_restart))
+    chunks as CHUNK_JOBS and CHUNK_VALUES allow for graphs of
+    `values_per_restart`."""
+    cap = max(1, min(CHUNK_JOBS,
+                     CHUNK_VALUES // max(1, values_per_restart)))
     n_chunks = -(-restarts // cap)
     return [c.tolist() for c in np.array_split(np.arange(restarts), n_chunks)]
 

@@ -24,6 +24,11 @@ from .optim import Adam, PlateauSchedule, Run, fit_stack, flat_params
 
 ARCHITECTURES = ("linear", "mlp", "seqconv")
 OUTPUT_KINDS = ("probability", "regression", "gaussian")
+# The most parameter values an MLP or seqconv model may hold (800 MB as
+# float64; a fit keeps several arrays of that size); larger architectures
+# are refused before anything is allocated, rather than left to fail
+# inside numpy.
+MAX_MODEL_PARAMS = 10 ** 8
 
 SEQCONV_HIDDEN = (16, 16, 8)
 SEQCONV_DILATIONS = (1, 2, 2)
@@ -81,6 +86,12 @@ class TrainConfig:
             raise TrainingError(f"seed must be nonnegative, got {self.seed}")
 
 
+def _require_size(params: int) -> None:
+    if params > MAX_MODEL_PARAMS:
+        raise GraphError(f"the architecture holds {params} parameter values, "
+                         f"more than the limit of {MAX_MODEL_PARAMS}")
+
+
 def build_model(kind: str, input_dim: int, *, seq_len: int | None = None,
                 hidden: tuple = (), output: str | None = None,
                 kernel_size: int = 3, seed: int = 0) -> Model:
@@ -101,6 +112,7 @@ def build_model(kind: str, input_dim: int, *, seq_len: int | None = None,
     if kind == "mlp":
         hidden = tuple(hidden) or (16,)
         widths = (input_dim,) + hidden + (1,)
+        _require_size(sum((a + 1) * b for a, b in zip(widths, widths[1:])))
         for i in range(len(widths) - 1):
             fan_in = widths[i]
             params[f"w{i}"] = rng.normal(0.0, np.sqrt(2.0 / fan_in),
@@ -110,6 +122,9 @@ def build_model(kind: str, input_dim: int, *, seq_len: int | None = None,
     if seq_len is None:
         raise GraphError("seqconv requires seq_len")
     hidden = tuple(hidden) or SEQCONV_HIDDEN
+    channels = (input_dim,) + hidden
+    _require_size(sum((a * kernel_size + 1) * b for a, b in
+                      zip(channels, channels[1:])) + channels[-1] + 1)
     dilations = SEQCONV_DILATIONS[:len(hidden)] if len(hidden) <= 3 \
         else tuple([1] + [2] * (len(hidden) - 1))
     cin = input_dim

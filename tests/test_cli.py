@@ -719,7 +719,7 @@ def test_kernel_size_below_one_is_a_usage_error(pipeline, tmp_path, capsys,
 # Seeded fuzz over malformed CLI inputs, in the style of acceptance
 # criterion 01: a fixed seed draws bad elements into list-valued config
 # fields, wrongly typed config values, and bad --hidden / --beta lists. The
-# first five cases are fixed reproductions of defects this test guards.
+# first six cases are fixed reproductions of defects this test guards.
 FUZZ_SEED = 20261018
 FUZZ_CASES = 48
 
@@ -764,6 +764,10 @@ def _draw_malformed(rng, root):
                               {"n": 100, "d": 10 ** 15},
                               {"n": 100, "d": 4, "seq_len": 10 ** 14})):
         yield gen_data(size, f"big{i}")
+    # an oversized architecture, refused before its weights are allocated
+    yield ["train-model", "--data", str(root / "data.csv"), "--arch", "mlp",
+           "--hidden", "1000000000000", "--out", str(root / "o")], \
+        "train-model"
     configs = {"gen-data": SyntheticSpec, "train-model": TrainConfig,
                "train-transform": MindConfig}
     for i in range(FUZZ_CASES):

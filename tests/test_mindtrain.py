@@ -828,14 +828,17 @@ class TestStackedRestarts:
     @pytest.mark.parametrize("restarts,values,sizes", [
         (8, 13_117, [8]),        # MLP gating, d=14, hidden 16, B=100
         (3, 13_117, [3]),        # the same graph in a sanity refit
-        (8, 62_285, [1] * 8),    # seqconv gating, d=6, T=12, B=90
-        (8, 75_305, [1] * 8),    # graphs of seqconv basis gating's and
-        (8, 202_709, [1] * 8),   # the residual net's size
-        (3, 62_285, [1] * 3),
+        (8, 62_285, [3, 3, 2]),  # seqconv gating, d=6, T=12, B=90
+        (8, 75_305, [2] * 4),    # graphs of seqconv basis gating's and
+        (8, 202_709, [1] * 8),   # the residual net's size, were they to
+        (3, 62_285, [3]),        # stack
         (20, 13_118, [7, 7, 6]),  # MLP gating's whole lambda grid
         (15, 13_118, [8, 7]),    # its 5 baseline instances' refits
         (30, 13_118, [8, 8, 7, 7]),  # and its 10 shuffled instances'
-        (30, 62_286, [1] * 30),  # seqconv gating's 10 shuffled instances'
+        (30, 62_286, [3] * 10),  # seqconv gating's 10 shuffled instances'
+        (8, 69_186, [3, 3, 2]),  # seqconv gating at B=100, the benchmark's
+        (15, 69_186, [3] * 5),   # its 5 baseline instances' refits
+        (10, 1_000, [5, 5]),     # a tiny graph: CHUNK_JOBS binds
     ])
     def test_chunk_sizes_for_the_measured_graphs(self, restarts, values,
                                                  sizes):
@@ -859,14 +862,42 @@ class TestStackedRestarts:
             chunks = mt._chunks(TransformSpec("gating"), ds, cfg,
                                 mt.restart_jobs(m, cfg))
             assert [len(c) for c in chunks] == sizes
-        # the sanity check's 10 shuffled models share 4 chunks, and the
-        # lambda grid's 20 points fill 3
+        # the baseline's 5 reseeded instances share 2 chunks, the sanity
+        # check's 10 shuffled models 4, and the lambda grid's 20 points 3
+        baseline = [mt.Job(m, 0.1, s, r) for s in range(5) for r in range(3)]
         shuffled = [mt.Job(shuffle_layer(m, i % 2, np.random.default_rng(i)),
                            0.1, 1, r) for i in range(10) for r in range(3)]
         grid = [mt.Job(m, lam, 1, 0) for lam in lambda_grid()]
-        for jobs, sizes in ((shuffled, [8, 8, 7, 7]), (grid, [7, 7, 6])):
+        for jobs, sizes in ((baseline, [8, 7]), (shuffled, [8, 8, 7, 7]),
+                            (grid, [7, 7, 6])):
             assert [len(c) for c in mt._chunks(TransformSpec("gating"), ds,
                                                 cfg, jobs)] == sizes
+
+    def test_benchmark_seqconv_graph_runs_in_chunks_of_3(self):
+        # the sanity-seqconv benchmark's sizes: n=600, 420 training rows
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((600, 6, 12))
+        ds = from_arrays(X, (X[:, 2].mean(axis=1) > 0).astype(float),
+                         {"train": np.arange(420),
+                          "validation": np.arange(420, 510)})
+        m = build_model("seqconv", 6, seq_len=12, hidden=(8,),
+                        output="probability")
+        spec = TransformSpec("gating", intercept=False)
+        cfg = MindConfig(lam=0.002, similarity="inner_product", restarts=8,
+                         top_k=5, seed=1)
+        assert mt._batch_size(cfg, 420) == 100
+        assert mt._values_per_restart(m, spec, ds, cfg) == 69_186
+        chunks = mt._chunks(spec, ds, cfg, mt.restart_jobs(m, cfg))
+        assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        baseline = [mt.Job(m, 0.002, s, r) for s in range(5) for r in range(3)]
+        assert [len(c) for c in mt._chunks(spec, ds, cfg, baseline)] == \
+            [3] * 5
+        # 10 shuffled models: 3 jobs each, and no chunk holds two models
+        models = [shuffle_layer(m, i % 2, np.random.default_rng(i))
+                  for i in range(10)]
+        shuffled = [mt.Job(s, 0.002, 1, r) for s in models for r in range(3)]
+        chunks = mt._chunks(spec, ds, cfg, shuffled)
+        assert chunks == [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(10)]
 
     # seeds whose sweeps end in the second chunk, the third and in none
     @pytest.mark.parametrize("seed", [5, 0, 1, 6])
@@ -917,10 +948,11 @@ class TestStackedRestarts:
         monkeypatch.setattr(analysis, "spearman_rho", spearman)
         restart_baseline(m, spec, ds, cfg, ref, instances=3, seed=8)
         sanity_check(m, spec, ds, cfg, ref, shuffles=2, seed=8)
-        # each list shares one chunk: 3 reseeded instances of the intact
-        # model, then 2 shuffles of each of 2 layers
+        # each list is chunked apart: 3 reseeded instances of the intact
+        # model share one chunk, then 2 shuffles of each of 2 layers share
+        # two, as CHUNK_JOBS allows
         R = analysis.SANITY_RESTARTS
-        assert chunks == [3 * R, 4 * R]
+        assert chunks == [3 * R, 2 * R, 2 * R]
         own = replace(cfg, restarts=R, top_k=2)
         fits = [(m, replace(own, seed=int(substream(
                     8, f"baseline.instance{s}").integers(2 ** 31 - 1))))
@@ -934,6 +966,54 @@ class TestStackedRestarts:
             want = multi_restart(model, spec, ds, config).feature_scores()
             np.testing.assert_allclose(got, want, rtol=self.TOL,
                                        atol=self.TOL)
+
+    def test_seqconv_sanity_and_baseline_stacks_match_chunks_of_one(
+            self, monkeypatch):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((60, 2, 8))
+        ds = from_arrays(X, (X[:, 0].mean(axis=1) > 0).astype(float),
+                         {"train": np.arange(45),
+                          "validation": np.arange(45, 60)})
+        m = build_model("seqconv", 2, seq_len=8, hidden=(4,), seed=7)
+        spec = TransformSpec("gating", intercept=False)
+        cfg = MindConfig(lam=0.05, similarity="inner_product", restarts=5,
+                         top_k=2, max_epochs=10, seed=2)
+        ref = np.arange(2.0)
+        chunks, scores = [], []
+        real_fit = mt._fit_chunk
+
+        def fit_chunk(tspec, dataset, config, chunk):
+            chunks.append(len(chunk))
+            return real_fit(tspec, dataset, config, chunk)
+
+        def spearman(a, b):
+            scores.append(b)
+            return spearman_rho(a, b)
+
+        def run():
+            chunks.clear()
+            scores.clear()
+            base = restart_baseline(m, spec, ds, cfg, ref, instances=2,
+                                    seed=8)
+            layers = sanity_check(m, spec, ds, cfg, ref, shuffles=2, seed=8)
+            return list(chunks), list(scores), [base, *layers]
+
+        monkeypatch.setattr(mt, "_fit_chunk", fit_chunk)
+        monkeypatch.setattr(analysis, "spearman_rho", spearman)
+        R = analysis.SANITY_RESTARTS
+        stacked_chunks, stacked, stacked_outs = run()
+        # the baseline's 2 instances of the intact model share a chunk;
+        # each of the 4 shuffled models (2 layers x 2) has its own
+        assert stacked_chunks == [2 * R] + [R] * 4
+        self._chunks_of_one(monkeypatch)
+        single_chunks, single, single_outs = run()
+        assert single_chunks == [1] * (6 * R)
+        assert len(stacked) == len(single) == 6
+        for a, b in zip(stacked, single):
+            np.testing.assert_allclose(a, b, rtol=0, atol=self.TOL)
+        for a, b in zip(stacked_outs, single_outs):
+            assert (a.layer, a.failures) == (b.layer, b.failures)
+            np.testing.assert_allclose(a.rhos, b.rhos, rtol=0, atol=self.TOL)
 
     @pytest.mark.parametrize("spec", [
         TransformSpec("residual"),

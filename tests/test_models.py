@@ -85,6 +85,21 @@ class TestBuildAndPredict:
         for kernel_size in (0, -2):
             with pytest.raises(GraphError, match="kernel_size"):
                 build_model("seqconv", 3, seq_len=8, kernel_size=kernel_size)
+        # refused before the weights are drawn: 10^12 values would not fit
+        for kw in ({"hidden": (10 ** 12,)}, {"kernel_size": 10 ** 12}):
+            with pytest.raises(GraphError, match="more than the limit"):
+                build_model("seqconv", 3, seq_len=8, **kw)
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("mlp", {"hidden": (5, 3)}),
+        ("seqconv", {"seq_len": 8, "hidden": (4, 2), "kernel_size": 5})])
+    def test_size_limit_counts_every_parameter(self, kind, kw, monkeypatch):
+        size = sum(v.size for v in build_model(kind, 3, **kw).params.values())
+        monkeypatch.setattr("mindkit.models.MAX_MODEL_PARAMS", size)
+        build_model(kind, 3, **kw)
+        monkeypatch.setattr("mindkit.models.MAX_MODEL_PARAMS", size - 1)
+        with pytest.raises(GraphError, match="more than the limit"):
+            build_model(kind, 3, **kw)
 
     def test_predict_rejects_wrong_width(self):
         m = build_model("mlp", 3, seed=0)
